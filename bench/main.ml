@@ -47,8 +47,7 @@ let paper_table2 () =
   print_string
     "Paper reference (Table II) row 'churn 0':    7.476 7.467 5.043 5.022 5.016\n\
      Paper reference (Table II) row 'churn 0.01': 3.721 2.104 3.076 1.873 1.309\n";
-  let cells = Churn_sweep.run ~trials ~seed () in
-  print_string (Churn_sweep.print_table cells)
+  print_string Sweep.(churn.table (run ~trials ~seed churn))
 
 let figures_1_3 () =
   print_string (Initial_distribution.figure1 ~seed ());

@@ -12,17 +12,25 @@ open Cmdliner
 let seed_t =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Base RNG seed.")
 
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let domains_t =
   Arg.(
     value
-    & opt int 1
+    & opt positive_int 1
     & info [ "domains" ] ~docv:"N"
         ~doc:"Run trials on N OCaml domains in parallel.")
 
 let trials_t =
   Arg.(
     value
-    & opt int 3
+    & opt positive_int 3
     & info [ "trials" ] ~docv:"N" ~doc:"Independent trials per cell.")
 
 let nodes_t =
@@ -320,9 +328,14 @@ let resume_t =
            (different parameters or format) is refused.")
 
 let trial_timeout_t =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && x > 0.0 -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "expected finite seconds > 0, got %S" s))
+  in
   Arg.(
     value
-    & opt (some float) None
+    & opt (some (conv (parse, Format.pp_print_float))) None
     & info [ "trial-timeout" ] ~docv:"SECS"
         ~doc:
           "Wall-clock watchdog per trial: a trial still running after \
@@ -343,7 +356,12 @@ let with_journal path f =
   match path with
   | None -> f None
   | Some p ->
-    let j = Journal.open_ p in
+    let j =
+      try Journal.open_ p
+      with Sys_error e ->
+        prerr_endline ("invalid --journal: " ^ e);
+        exit 2
+    in
     if Journal.loaded j > 0 then
       Printf.eprintf "journal %s: resuming, %d cell(s) already recorded\n%!" p
         (Journal.loaded j);
@@ -648,23 +666,6 @@ let stream_cmd =
       const stream $ params_t $ strategy_t $ trace_out_t $ csv_t $ json_t
       $ out_t $ checkpoint_t $ checkpoint_every_t $ resume_t)
 
-let steady_sweep_cmd =
-  Cmd.v
-    (Cmd.info "steady-sweep"
-       ~doc:
-         "Steady-state sweep: strategy × Poisson arrival rate × churn, \
-          each cell an open-system run reporting warm-up-discarded \
-          queue and sojourn percentiles.")
-    Term.(
-      const (fun trials seed csv journal trial_timeout ->
-          let cells =
-            with_journal journal (fun journal ->
-                Steady_sweep.run ~trials ~seed ?journal ?trial_timeout ())
-          in
-          print_string (Steady_sweep.print_table cells);
-          maybe_csv csv (Export.steady_sweep_csv cells))
-      $ trials_t $ seed_t $ csv_t $ journal_t $ trial_timeout_t)
-
 let print_cmd name doc f =
   Cmd.v (Cmd.info name ~doc) Term.(const (fun s -> print_string (f s)) $ seed_t)
 
@@ -683,19 +684,6 @@ let table1_cmd =
           print_string (Initial_distribution.print_table1 rows);
           maybe_csv csv (Export.table1_csv rows))
       $ trials_t $ seed_t $ csv_t)
-
-let table2_cmd =
-  Cmd.v
-    (Cmd.info "table2" ~doc:"Table II: churn-rate sweep.")
-    Term.(
-      const (fun trials seed csv journal trial_timeout ->
-          let cells =
-            with_journal journal (fun journal ->
-                Churn_sweep.run ~trials ~seed ?journal ?trial_timeout ())
-          in
-          print_string (Churn_sweep.print_table cells);
-          maybe_csv csv (Export.churn_sweep_csv cells))
-      $ trials_t $ seed_t $ csv_t $ journal_t $ trial_timeout_t)
 
 let hops_cmd =
   Cmd.v
@@ -876,22 +864,6 @@ let compare_cmd =
        ~doc:"All strategies head-to-head on one network configuration.")
     Term.(const run $ params_t $ trials_t $ domains_t)
 
-let degrade_cmd =
-  Cmd.v
-    (Cmd.info "degrade"
-       ~doc:
-         "Graceful degradation: runtime factor per strategy as the \
-          control-plane message drop rate climbs.")
-    Term.(
-      const (fun trials seed csv journal trial_timeout ->
-          let cells =
-            with_journal journal (fun journal ->
-                Degradation.run ~trials ~seed ?journal ?trial_timeout ())
-          in
-          print_string (Degradation.print_table cells);
-          maybe_csv csv (Export.degradation_csv cells))
-      $ trials_t $ seed_t $ csv_t $ journal_t $ trial_timeout_t)
-
 let maintenance_cmd =
   print_cmd "maintenance"
     "Stabilization cost under churn (paper footnote 2)." (fun seed ->
@@ -903,74 +875,71 @@ let failures_cmd =
     (fun ~trials ~seed ->
       Failure_recovery.print_table (Failure_recovery.run ~seed ~trials ()))
 
-let recovery_sweep_cmd =
-  Cmd.v
-    (Cmd.info "recovery-sweep"
-       ~doc:
-         "In-simulation crash recovery: tasks lost under a crash burst \
-          versus live replication degree, against the analytic f^(r+1).")
+(* Every sweep subcommand: --trials, --seed, --csv, --journal,
+   --trial-timeout, and --json where the sweep exports JSON.  [after]
+   adds text printed after the table and wraps the JSON export. *)
+let sweep_cmd ?(json_doc = "Also print the sweep as JSON.")
+    ?(after = fun ~seed:_ -> ("", Fun.id)) name doc (spec : Sweep.t) =
+  let json_t =
+    if spec.Sweep.json = None then Term.const false
+    else Arg.(value & flag & info [ "json" ] ~doc:json_doc)
+  in
+  let run trials seed csv json journal trial_timeout =
+    (match Scale.domains () with
+    | _ -> ()
+    | exception Invalid_argument e ->
+      prerr_endline e;
+      exit 2);
+    let rows =
+      with_journal journal (fun journal ->
+          Sweep.run ?journal ?trial_timeout ~trials ~seed spec)
+    in
+    let text, wrap = after ~seed in
+    print_string (spec.Sweep.table rows);
+    print_string text;
+    maybe_csv csv (Sweep.csv spec rows);
+    if json then
+      print_endline (Json_out.to_string ~pretty:true (wrap (Sweep.json spec rows)))
+  in
+  Cmd.v (Cmd.info name ~doc)
     Term.(
-      const (fun trials seed csv journal trial_timeout ->
-          let cells =
-            with_journal journal (fun journal ->
-                Recovery_sweep.run ~trials ~seed ?journal ?trial_timeout ())
-          in
-          print_string (Recovery_sweep.print_table cells);
-          maybe_csv csv (Export.recovery_sweep_csv cells))
-      $ trials_t $ seed_t $ csv_t $ journal_t $ trial_timeout_t)
+      const run $ trials_t $ seed_t $ csv_t $ json_t $ journal_t
+      $ trial_timeout_t)
 
-let attack_sweep_cmd =
-  Cmd.v
-    (Cmd.info "attack-sweep"
-       ~doc:
-         "Adversarial sweep: runtime factor and recovery-plane task \
-          loss versus eclipse-attacker strength, undefended and under \
-          the admission-puzzle defense.")
-    Term.(
-      const (fun trials seed csv json journal trial_timeout ->
-          let cells =
-            with_journal journal (fun journal ->
-                Attack_sweep.run ~trials ~seed ?journal ?trial_timeout ())
-          in
-          print_string (Attack_sweep.print_table cells);
-          maybe_csv csv (Export.attack_sweep_csv cells);
-          if json then
-            print_endline
-              (Json_out.to_string ~pretty:true (Export.attack_sweep_json cells)))
-      $ trials_t $ seed_t $ csv_t
-      $ Arg.(
-          value & flag & info [ "json" ] ~doc:"Also print the sweep as JSON.")
-      $ journal_t $ trial_timeout_t)
-
-let head_to_head_cmd =
-  Cmd.v
-    (Cmd.info "head-to-head"
-       ~doc:
-         "Strategy families head to head: the Sybil strategies against \
-          the non-Sybil competitors (diffusive transfers, range \
-          reassignment) across churn and reply-drop regimes, plus a \
-          ChordReduce word-count makespan leg on each family's warmed \
-          ring.")
-    Term.(
-      const (fun trials seed csv json journal trial_timeout ->
-          let cells =
-            with_journal journal (fun journal ->
-                Headtohead.run ~trials ~seed ?journal ?trial_timeout ())
-          in
-          let makespans = Headtohead.makespans ~seed () in
-          print_string (Headtohead.print_table cells);
-          print_newline ();
-          print_string (Headtohead.print_makespans makespans);
-          maybe_csv csv (Export.head_to_head_csv cells);
-          if json then
-            print_endline
-              (Json_out.to_string ~pretty:true
-                 (Export.head_to_head_json cells makespans)))
-      $ trials_t $ seed_t $ csv_t
-      $ Arg.(
-          value & flag
-          & info [ "json" ] ~doc:"Also print the comparison as JSON.")
-      $ journal_t $ trial_timeout_t)
+let sweep_cmds =
+  [
+    sweep_cmd "table2" "Table II: churn-rate sweep." Sweep.churn;
+    sweep_cmd "degrade"
+      "Graceful degradation: runtime factor per strategy as the \
+       control-plane message drop rate climbs."
+      Sweep.degrade;
+    sweep_cmd "recovery-sweep"
+      "In-simulation crash recovery: tasks lost under a crash burst versus \
+       live replication degree, against the analytic f^(r+1)."
+      Sweep.recovery;
+    sweep_cmd "steady-sweep"
+      "Steady-state sweep: strategy × Poisson arrival rate × churn, each \
+       cell an open-system run reporting warm-up-discarded queue and \
+       sojourn percentiles."
+      Sweep.steady;
+    sweep_cmd "attack-sweep"
+      "Adversarial sweep: runtime factor and recovery-plane task loss \
+       versus eclipse-attacker strength, undefended and under the \
+       admission-puzzle defense."
+      Sweep.attack;
+    sweep_cmd "head-to-head" ~json_doc:"Also print the comparison as JSON."
+      ~after:(fun ~seed ->
+        let makespans = Headtohead.makespans ~seed () in
+        ( "\n" ^ Headtohead.print_makespans makespans,
+          fun grid ->
+            Json_out.Obj
+              [ ("grid", grid); ("makespans", Headtohead.makespans_json makespans) ] ))
+      "Strategy families head to head: the Sybil strategies against the \
+       non-Sybil competitors (diffusive transfers, range reassignment) \
+       across churn and reply-drop regimes, plus a ChordReduce word-count \
+       makespan leg on each family's warmed ring."
+      Sweep.head_to_head;
+  ]
 
 let main_cmd =
   Cmd.group
@@ -978,25 +947,20 @@ let main_cmd =
        ~doc:
          "Autonomous DHT load balancing via churn and the Sybil attack \
           (reproduction of Rosen, Levin & Bourgeois, IPPS 2021).")
-    [
-      simulate_cmd;
-      table1_cmd;
-      table2_cmd;
-      fig_cmd;
-      summary_cmd;
-      ablate_cmd;
-      messages_cmd;
-      compare_cmd;
-      degrade_cmd;
-      maintenance_cmd;
-      failures_cmd;
-      recovery_sweep_cmd;
-      hops_cmd;
-      timeline_cmd;
-      stream_cmd;
-      steady_sweep_cmd;
-      attack_sweep_cmd;
-      head_to_head_cmd;
-    ]
+    ([
+       simulate_cmd;
+       table1_cmd;
+       fig_cmd;
+       summary_cmd;
+       ablate_cmd;
+       messages_cmd;
+       compare_cmd;
+       maintenance_cmd;
+       failures_cmd;
+       hops_cmd;
+       timeline_cmd;
+       stream_cmd;
+     ]
+    @ sweep_cmds)
 
 let () = exit (Cmd.eval main_cmd)

@@ -74,29 +74,34 @@ echo "    resumed result byte-identical to the uninterrupted run"
 rm -rf "$ckpt_dir"
 
 echo "==> journaled sweep resume smoke (truncated journal recomputes only the missing cells)"
-# A journaled attack-sweep must print the same table as an unjournaled
-# one; truncating the journal to its first 3 cells and rerunning must
+# A journaled sweep must print the same table as an unjournaled one;
+# truncating the journal to its first 3 cells and rerunning must
 # recompute exactly the missing cells, print a byte-identical table,
-# and leave the journal complete again.
-sweep_dir=$(mktemp -d)
-DHTLB_CHECK=1 "$dhtlb" attack-sweep --trials 1 --seed 11 \
-  > "$sweep_dir/reference.txt"
-DHTLB_CHECK=1 "$dhtlb" attack-sweep --trials 1 --seed 11 \
-  --journal "$sweep_dir/sweep.jsonl" > "$sweep_dir/full.txt"
-cmp "$sweep_dir/reference.txt" "$sweep_dir/full.txt"
-cells=$(wc -l < "$sweep_dir/sweep.jsonl")
-head -n 3 "$sweep_dir/sweep.jsonl" > "$sweep_dir/truncated.jsonl"
-DHTLB_CHECK=1 "$dhtlb" attack-sweep --trials 1 --seed 11 \
-  --journal "$sweep_dir/truncated.jsonl" > "$sweep_dir/resumed.txt"
-cmp "$sweep_dir/reference.txt" "$sweep_dir/resumed.txt"
-repaired=$(wc -l < "$sweep_dir/truncated.jsonl")
-if [ "$repaired" -ne "$cells" ]; then
-  echo "==> journal smoke FAILED: $repaired cells after resume, expected $cells" >&2
+# and leave the journal complete again.  Both journal payload shapes go
+# through the binary: attack-sweep's carries derived metrics next to
+# the aggregate, steady-sweep's is a bare aggregate with NaN-as-null
+# fields.
+for sweep in attack-sweep steady-sweep; do
+  sweep_dir=$(mktemp -d)
+  DHTLB_CHECK=1 "$dhtlb" $sweep --trials 1 --seed 11 \
+    > "$sweep_dir/reference.txt"
+  DHTLB_CHECK=1 "$dhtlb" $sweep --trials 1 --seed 11 \
+    --journal "$sweep_dir/sweep.jsonl" > "$sweep_dir/full.txt"
+  cmp "$sweep_dir/reference.txt" "$sweep_dir/full.txt"
+  cells=$(wc -l < "$sweep_dir/sweep.jsonl")
+  head -n 3 "$sweep_dir/sweep.jsonl" > "$sweep_dir/truncated.jsonl"
+  DHTLB_CHECK=1 "$dhtlb" $sweep --trials 1 --seed 11 \
+    --journal "$sweep_dir/truncated.jsonl" > "$sweep_dir/resumed.txt"
+  cmp "$sweep_dir/reference.txt" "$sweep_dir/resumed.txt"
+  repaired=$(wc -l < "$sweep_dir/truncated.jsonl")
+  if [ "$repaired" -ne "$cells" ]; then
+    echo "==> $sweep journal smoke FAILED: $repaired cells after resume, expected $cells" >&2
+    rm -rf "$sweep_dir"
+    exit 1
+  fi
+  echo "    $sweep resumed byte-identical; journal repaired to $cells cells"
   rm -rf "$sweep_dir"
-  exit 1
-fi
-echo "    resumed sweep byte-identical; journal repaired to $cells cells"
-rm -rf "$sweep_dir"
+done
 
 echo "==> attack smoke (Sybil eclipse through the real CLI, invariant-checked, undefended then defended)"
 # End-to-end through bin/dhtlb with the adversary on: a windowed eclipse

@@ -86,17 +86,26 @@ let rate_at t ~tick =
 (* Knuth's inversion by product of uniforms: k+1 [float_unit] draws for
    a count of k.  The zero-rate guard draws nothing, mirroring
    [Prng.bernoulli]'s p = 0 short-circuit — a profile that is quiet this
-   tick must leave the arrival stream untouched.  The differential
-   oracle duplicates this loop naively; keep them in lockstep. *)
+   tick must leave the arrival stream untouched.  [exp (-. lambda)]
+   underflows above lambda ~ 708 (every count would then be ~745), so a
+   larger rate is split into ceil (lambda / 700) equal parts whose
+   counts are summed: exact, as Poisson variates add.  At or below 700
+   there is one part, drawn exactly as before.  The differential oracle
+   duplicates this naively; keep them in lockstep. *)
 let poisson_count rng lambda =
   if lambda <= 0.0 then 0
   else begin
-    let l = exp (-.lambda) in
+    let parts = Float.to_int (Float.ceil (lambda /. 700.0)) in
+    let l = exp (-.(lambda /. float_of_int parts)) in
     let rec go k p =
       let p = p *. Prng.float_unit rng in
       if p <= l then k else go (k + 1) p
     in
-    go 0 1.0
+    let total = ref 0 in
+    for _ = 1 to parts do
+      total := !total + go 0 1.0
+    done;
+    !total
   end
 
 (* The SECOND split off a throwaway parent seeded identically: the

@@ -67,8 +67,11 @@ val poisson_count : Prng.t -> float -> int
     draws until the product falls to [exp (-. lambda)].  Draw-order
     contract: exactly [k + 1] draws for a count of [k], and [lambda <=
     0] returns [0] {e without drawing} (like [Prng.bernoulli] at p = 0).
-    The differential oracle re-implements this loop naively;
-    [test/test_arrivals.ml] pins the equivalence on a shared stream. *)
+    Above [lambda = 700], where [exp (-. lambda)] would underflow, the
+    count is the sum of [m = ceil (lambda / 700)] such draws at rate
+    [lambda / m] each ([k + m] draws in all).  The differential oracle
+    re-implements this naively; [test/test_arrivals.ml] pins the
+    equivalence on a shared stream. *)
 
 val rng : seed:int -> Prng.t
 (** The dedicated arrival stream for a simulation seed: the {e second}

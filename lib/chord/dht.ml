@@ -2,8 +2,8 @@ type 'a vnode = { id : Id.t; mutable keys : Id_set.t; payload : 'a }
 
 type 'a t = {
   mutable ring : 'a vnode Ring.t;
-  (* Hash index over the same vnodes: point lookups (find/workload/
-     consume) are O(1) instead of an O(log n) ring descent, which the
+  (* Hash index over the same vnodes: point lookups (find/workload)
+     are O(1) instead of an O(log n) ring descent, which the
      strategies' every-decision-period workload scans hit for every
      vnode of every machine. *)
   index : (Id.t, 'a vnode) Hashtbl.t;
@@ -203,16 +203,16 @@ let insert_keys t keys =
     Ok !inserted
   end
 
-(* Record-direct variant: the engine holds each machine's vnode records
-   and consumes every tick, so the per-call [Hashtbl] lookup of the
-   id-keyed [consume] was the single hottest operation at 100k nodes. *)
+(* Consumption takes the vnode record itself: the engine holds each
+   machine's records and consumes every tick, and a per-call [Hashtbl]
+   lookup by id was the single hottest operation at 100k nodes. *)
 let consume_vnode_keys ~pick t vn n =
   let c = Id_set.cardinal vn.keys in
   if n <= 0 || c = 0 then []
   else begin
     let rand bound =
       let i = pick bound in
-      if i < 0 || i >= bound then invalid_arg "Dht.consume: pick out of range";
+      if i < 0 || i >= bound then invalid_arg "Dht.consume_vnode_keys: pick out of range";
       i
     in
     let taken, rest = Id_set.take_random_n ~rand vn.keys n in
@@ -256,11 +256,6 @@ let transfer_keys ~pick t ~src ~dst n =
     t.messages.work_transfers <- t.messages.work_transfers + !moved;
     !moved
   end
-
-let consume ~pick t id n =
-  match Hashtbl.find_opt t.index id with
-  | None -> 0
-  | Some vn -> consume_vnode ~pick t vn n
 
 let workload t id =
   match Hashtbl.find_opt t.index id with

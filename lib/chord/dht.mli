@@ -74,25 +74,24 @@ val insert_keys : 'a t -> Id.t array -> (int, [ `Empty_ring ]) result
 val owner_of : 'a t -> Id.t -> 'a vnode option
 (** The vnode responsible for a key. *)
 
-val consume : pick:(int -> int) -> 'a t -> Id.t -> int -> int
-(** [consume ~pick t id n] completes up to [n] of vnode [id]'s tasks and
-    returns the number actually completed; [0] if [id] is not a member.
-    [pick c] chooses the index (in key order) of the next task to
-    complete among the [c] remaining.  The argument is required because
-    the choice is load-bearing: Sybil arc placement reasons about how
-    keys are spread within arcs, so simulations must pass a uniform pick
-    (a silent always-leftmost default would skew the remaining-key
-    distribution).  The whole budget is removed in one tree pass
+val consume_vnode : pick:(int -> int) -> 'a t -> 'a vnode -> int -> int
+(** [consume_vnode ~pick t vn n] completes up to [n] of vnode [vn]'s
+    tasks and returns the number actually completed.  [pick c] chooses
+    the index (in key order) of the next task to complete among the [c]
+    remaining.  The argument is required because the choice is
+    load-bearing: Sybil arc placement reasons about how keys are spread
+    within arcs, so simulations must pass a uniform pick (a silent
+    always-leftmost default would skew the remaining-key distribution).
+    The whole budget is removed in one tree pass
     ({!Id_set.take_random_n}), drawing [pick c], [pick (c-1)], ... so
     the random stream matches the per-key loop it replaced.
-    @raise Invalid_argument if [pick] returns an index out of range. *)
 
-val consume_vnode : pick:(int -> int) -> 'a t -> 'a vnode -> int -> int
-(** {!consume} on a vnode record the caller already holds, skipping the
-    id lookup.  The record must be a current ring member (the engine
-    keeps each machine's records in sync with its ring presence); a
-    departed record has been emptied, so consuming it is a harmless
-    no-op rather than corruption. *)
+    [vn] is a record the caller already holds ({!find} gives one by id)
+    and must be a current ring member (the engine keeps each machine's
+    records in sync with its ring presence); a departed record has been
+    emptied, so consuming it is a harmless no-op rather than
+    corruption.
+    @raise Invalid_argument if [pick] returns an index out of range. *)
 
 val consume_vnode_keys : pick:(int -> int) -> 'a t -> 'a vnode -> int -> Id.t list
 (** {!consume_vnode}, but returns the completed keys themselves (in

@@ -13,63 +13,6 @@ let table1_csv rows =
          ])
        rows)
 
-let churn_sweep_csv cells =
-  Csv_out.table
-    ~header:
-      [
-        "churn_rate";
-        "nodes";
-        "tasks";
-        "mean_factor";
-        "stddev_factor";
-        "trials";
-        "aborted";
-        "mean_factor_finished";
-      ]
-    (List.map
-       (fun (c : Churn_sweep.cell) ->
-         let a = c.Churn_sweep.aggregate in
-         [
-           f c.Churn_sweep.churn_rate;
-           string_of_int c.Churn_sweep.nodes;
-           string_of_int c.Churn_sweep.tasks;
-           f a.Runner.mean_factor;
-           f a.Runner.stddev_factor;
-           string_of_int a.Runner.trials;
-           string_of_int a.Runner.aborted;
-           (* empty cell rather than "nan" when every trial aborted *)
-           (if a.Runner.finished = 0 then ""
-            else f a.Runner.mean_factor_finished);
-         ])
-       cells)
-
-let degradation_csv cells =
-  Csv_out.table
-    ~header:
-      [
-        "drop_rate";
-        "strategy";
-        "mean_factor";
-        "stddev_factor";
-        "trials";
-        "aborted";
-        "mean_factor_finished";
-      ]
-    (List.map
-       (fun (c : Degradation.cell) ->
-         let a = c.Degradation.aggregate in
-         [
-           f c.Degradation.drop;
-           Strategy.name c.Degradation.strategy;
-           f a.Runner.mean_factor;
-           f a.Runner.stddev_factor;
-           string_of_int a.Runner.trials;
-           string_of_int a.Runner.aborted;
-           (if a.Runner.finished = 0 then ""
-            else f a.Runner.mean_factor_finished);
-         ])
-       cells)
-
 let lookup_hops_csv rows =
   Csv_out.table
     ~header:[ "nodes"; "lookups"; "mean_hops"; "p99_hops"; "expected" ]
@@ -122,36 +65,8 @@ let failure_recovery_csv rows =
          ])
        rows)
 
-let recovery_sweep_csv cells =
-  Csv_out.table
-    ~header:
-      [
-        "replicas";
-        "burst_count";
-        "burst_fraction";
-        "measured_loss_rate";
-        "expected_loss_rate";
-        "mean_factor";
-        "mean_tasks_lost";
-        "trials";
-      ]
-    (List.map
-       (fun (c : Recovery_sweep.cell) ->
-         let a = c.Recovery_sweep.aggregate in
-         [
-           string_of_int c.Recovery_sweep.replicas;
-           string_of_int c.Recovery_sweep.burst_count;
-           f c.Recovery_sweep.burst_fraction;
-           f c.Recovery_sweep.measured_loss_rate;
-           f c.Recovery_sweep.expected_loss_rate;
-           f a.Runner.mean_factor;
-           f a.Runner.mean_tasks_lost;
-           string_of_int a.Runner.trials;
-         ])
-       cells)
-
 (* NaN percentiles (no completions in the window) become empty cells,
-   matching the finished-only convention above. *)
+   not "nan". *)
 let fnan v = if Float.is_nan v then "" else f v
 
 let steady_csv windows =
@@ -199,108 +114,6 @@ let steady_csv windows =
               f w.Steady.sybil_mean;
             ])
           windows))
-
-let steady_sweep_csv cells =
-  Csv_out.table
-    ~header:
-      [
-        "strategy";
-        "rate";
-        "churn";
-        "trials";
-        "mean_arrived";
-        "mean_tasks_lost";
-        "queue_p50";
-        "queue_p95";
-        "queue_p99";
-        "sojourn_p50";
-        "sojourn_p95";
-        "sojourn_p99";
-      ]
-    (List.map
-       (fun (c : Steady_sweep.cell) ->
-         let a = c.Steady_sweep.aggregate in
-         [
-           Strategy.name c.Steady_sweep.strategy;
-           f c.Steady_sweep.rate;
-           f c.Steady_sweep.churn;
-           string_of_int a.Runner.trials;
-           f a.Runner.mean_arrived;
-           f a.Runner.mean_tasks_lost;
-           fnan a.Runner.steady_queue_p50;
-           fnan a.Runner.steady_queue_p95;
-           fnan a.Runner.steady_queue_p99;
-           fnan a.Runner.steady_sojourn_p50;
-           fnan a.Runner.steady_sojourn_p95;
-           fnan a.Runner.steady_sojourn_p99;
-         ])
-       cells)
-
-let attack_sweep_csv cells =
-  Csv_out.table
-    ~header:
-      [
-        "strength";
-        "puzzle_cost";
-        "mean_attack_joins";
-        "mean_puzzles";
-        "mean_tasks_lost";
-        "mean_factor";
-        "stddev_factor";
-        "trials";
-        "aborted";
-        "mean_factor_finished";
-      ]
-    (List.map
-       (fun (c : Attack_sweep.cell) ->
-         let a = c.Attack_sweep.aggregate in
-         [
-           string_of_int c.Attack_sweep.strength;
-           string_of_int c.Attack_sweep.puzzle_cost;
-           f c.Attack_sweep.mean_attack_joins;
-           f c.Attack_sweep.mean_puzzles;
-           f c.Attack_sweep.mean_tasks_lost;
-           f a.Runner.mean_factor;
-           f a.Runner.stddev_factor;
-           string_of_int a.Runner.trials;
-           string_of_int a.Runner.aborted;
-           (if a.Runner.finished = 0 then ""
-            else f a.Runner.mean_factor_finished);
-         ])
-       cells)
-
-let head_to_head_csv cells =
-  Csv_out.table
-    ~header:
-      [
-        "strategy";
-        "churn";
-        "drop";
-        "mean_work_transfers";
-        "mean_key_transfers";
-        "mean_factor";
-        "stddev_factor";
-        "trials";
-        "aborted";
-        "mean_factor_finished";
-      ]
-    (List.map
-       (fun (c : Headtohead.cell) ->
-         let a = c.Headtohead.aggregate in
-         [
-           Strategy.name c.Headtohead.strategy;
-           f c.Headtohead.churn;
-           f c.Headtohead.drop;
-           f c.Headtohead.mean_work_transfers;
-           f c.Headtohead.mean_key_transfers;
-           f a.Runner.mean_factor;
-           f a.Runner.stddev_factor;
-           string_of_int a.Runner.trials;
-           string_of_int a.Runner.aborted;
-           (if a.Runner.finished = 0 then ""
-            else f a.Runner.mean_factor_finished);
-         ])
-       cells)
 
 let work_timeline_csv series =
   let header =
@@ -446,67 +259,3 @@ let aggregate_json ~label (a : Runner.aggregate) =
       ("steady_sojourn_p95", Json_out.Float a.Runner.steady_sojourn_p95);
       ("steady_sojourn_p99", Json_out.Float a.Runner.steady_sojourn_p99);
     ]
-
-let head_to_head_json cells makespans =
-  Json_out.Obj
-    [
-      ( "grid",
-        Json_out.List
-          (List.map
-             (fun (c : Headtohead.cell) ->
-               Json_out.Obj
-                 [
-                   ( "strategy",
-                     Json_out.String (Strategy.name c.Headtohead.strategy) );
-                   ("churn", Json_out.Float c.Headtohead.churn);
-                   ("drop", Json_out.Float c.Headtohead.drop);
-                   ( "mean_work_transfers",
-                     Json_out.Float c.Headtohead.mean_work_transfers );
-                   ( "mean_key_transfers",
-                     Json_out.Float c.Headtohead.mean_key_transfers );
-                   ( "aggregate",
-                     aggregate_json
-                       ~label:
-                         (Printf.sprintf "%s churn=%g drop=%g"
-                            (Strategy.name c.Headtohead.strategy)
-                            c.Headtohead.churn c.Headtohead.drop)
-                       c.Headtohead.aggregate );
-                 ])
-             cells) );
-      ( "makespans",
-        Json_out.List
-          (List.map
-             (fun (m : Headtohead.makespan) ->
-               Json_out.Obj
-                 [
-                   ( "strategy",
-                     Json_out.String (Strategy.name m.Headtohead.ms_strategy) );
-                   ("warm_vnodes", Json_out.Int m.Headtohead.warm_vnodes);
-                   ("map_makespan", Json_out.Int m.Headtohead.map_makespan);
-                   ( "reduce_makespan",
-                     Json_out.Int m.Headtohead.reduce_makespan );
-                   ("total_makespan", Json_out.Int m.Headtohead.total_makespan);
-                 ])
-             makespans) );
-    ]
-
-let attack_sweep_json cells =
-  Json_out.List
-    (List.map
-       (fun (c : Attack_sweep.cell) ->
-         Json_out.Obj
-           [
-             ("strength", Json_out.Int c.Attack_sweep.strength);
-             ("puzzle_cost", Json_out.Int c.Attack_sweep.puzzle_cost);
-             ( "mean_attack_joins",
-               Json_out.Float c.Attack_sweep.mean_attack_joins );
-             ("mean_puzzles", Json_out.Float c.Attack_sweep.mean_puzzles);
-             ("mean_tasks_lost", Json_out.Float c.Attack_sweep.mean_tasks_lost);
-             ( "aggregate",
-               aggregate_json
-                 ~label:
-                   (Printf.sprintf "strength=%d puzzle_cost=%d"
-                      c.Attack_sweep.strength c.Attack_sweep.puzzle_cost)
-                 c.Attack_sweep.aggregate );
-           ])
-       cells)

@@ -1,30 +1,14 @@
 (** Machine-readable exports of experiment results (CSV / JSON). *)
 
 val table1_csv : Initial_distribution.table1_row list -> string
-val churn_sweep_csv : Churn_sweep.cell list -> string
-val degradation_csv : Degradation.cell list -> string
 val lookup_hops_csv : Lookup_hops.row list -> string
 val maintenance_csv : Maintenance.row list -> string
 val failure_recovery_csv : Failure_recovery.row list -> string
-val recovery_sweep_csv : Recovery_sweep.cell list -> string
-
-val attack_sweep_csv : Attack_sweep.cell list -> string
-(** The adversarial sweep grid, one row per strength × puzzle_cost
-    cell: landed Sybils, puzzles issued, recovery-plane loss, and the
-    makespan-factor family. *)
-
-val head_to_head_csv : Headtohead.cell list -> string
-(** The strategy-family grid, one row per strategy × churn × drop cell:
-    the two transfer currencies plus the makespan-factor family. *)
 
 val steady_csv : Steady.window array -> string
 (** One open-system run's measurement windows: arrival/completion rates,
     queue and sojourn percentiles, Sybil-count extremes per window.  NaN
     sojourn cells (no completions in the window) export as empty. *)
-
-val steady_sweep_csv : Steady_sweep.cell list -> string
-(** The steady-state sweep grid, one row per
-    strategy × rate × churn cell. *)
 
 val work_timeline_csv : Work_timeline.series list -> string
 
@@ -42,12 +26,3 @@ val result_json : Engine.result -> Json_out.t
     unchanged otherwise. *)
 
 val aggregate_json : label:string -> Runner.aggregate -> Json_out.t
-
-val attack_sweep_json : Attack_sweep.cell list -> Json_out.t
-(** The adversarial sweep as a JSON list, one object per cell with the
-    full aggregate embedded. *)
-
-val head_to_head_json :
-  Headtohead.cell list -> Headtohead.makespan list -> Json_out.t
-(** The head-to-head comparison as one object: the ["grid"] cells (full
-    aggregates embedded) and the ChordReduce ["makespans"] leg. *)

@@ -1,8 +1,8 @@
 let p ?(seed = 42) nodes tasks =
   { (Params.default ~nodes ~tasks) with Params.seed }
 
-let aggregate ?trials ?trial_timeout params strategy =
-  Runner.run_trials ?trials ~domains:(Scale.domains ()) ?trial_timeout params
+let aggregate ?trials params strategy =
+  Runner.run_trials ?trials ~domains:(Scale.domains ()) params
     (Strategy.make strategy)
 
 let row ~label (a : Runner.aggregate) =

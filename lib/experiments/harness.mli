@@ -4,12 +4,8 @@ val p : ?seed:int -> int -> int -> Params.t
 (** [p nodes tasks] is {!Params.default} with the given seed — the
     baseline every experiment table perturbs. *)
 
-val aggregate :
-  ?trials:int -> ?trial_timeout:float -> Params.t -> Strategy.t ->
-  Runner.aggregate
-(** Multi-trial run of one (parameters, strategy) cell.
-    [trial_timeout] arms the per-trial watchdog
-    ({!Runner.run_trials}). *)
+val aggregate : ?trials:int -> Params.t -> Strategy.t -> Runner.aggregate
+(** Multi-trial run of one (parameters, strategy) cell. *)
 
 val row :
   label:string -> Runner.aggregate -> string

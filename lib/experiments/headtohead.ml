@@ -1,26 +1,8 @@
-(* Head-to-head: the Sybil strategy family against the two non-Sybil
-   competitors (diffusive transfers and range reassignment), on the same
-   footing.  Each grid cell runs the full batch simulation for one
-   (strategy, churn, reply-drop) combination, so the comparison covers
-   the regimes the paper cares about: a calm network, ambient churn, a
-   lossy control plane, and both at once.  Two traffic readings separate
-   the families mechanically — [work_transfers] (tasks moved without an
-   ownership change; nonzero only for diffusive) and [key_transfers]
-   (ownership handovers; the Sybil and reassignment currencies).
-
-   The ChordReduce leg reruns the paper's motivating workload: warm each
-   strategy's ring for a few decision periods, then run a word-count
-   MapReduce over the resulting vnode set.  The map-phase makespan is
-   the quantity the balancing families are supposed to shrink. *)
-
-type cell = {
-  strategy : Strategy.t;
-  churn : float;
-  drop : float;
-  mean_work_transfers : float;
-  mean_key_transfers : float;
-  aggregate : Runner.aggregate;
-}
+(* The ChordReduce leg of the head-to-head comparison ({!Sweep.head_to_head}
+   is the grid): warm each strategy's ring for a few decision periods,
+   then run a word-count MapReduce over the resulting vnode set.  The
+   map-phase makespan is the quantity the balancing families are
+   supposed to shrink. *)
 
 type makespan = {
   ms_strategy : Strategy.t;
@@ -41,89 +23,6 @@ let families =
     Strategy.Diffusive;
     Strategy.Range_reassignment;
   ]
-
-let churns = [ 0.0; 0.01 ]
-let drops = [ 0.0; 0.05 ]
-
-(* Journal payload: the per-cell transfer means plus the aggregate; the
-   coordinates live in the key and are re-attached on decode. *)
-let cell_to_json c =
-  Json_out.Obj
-    [
-      ("mean_work_transfers", Json_out.Float c.mean_work_transfers);
-      ("mean_key_transfers", Json_out.Float c.mean_key_transfers);
-      ("aggregate", Journal.aggregate_to_json c.aggregate);
-    ]
-
-let cell_of_json ~strategy ~churn ~drop v =
-  let ( let* ) = Option.bind in
-  let flt name = Option.bind (Json_in.member name v) Json_in.to_float in
-  let* mean_work_transfers = flt "mean_work_transfers" in
-  let* mean_key_transfers = flt "mean_key_transfers" in
-  let* aggregate =
-    Option.bind (Json_in.member "aggregate" v) Journal.aggregate_of_json
-  in
-  Some
-    { strategy; churn; drop; mean_work_transfers; mean_key_transfers; aggregate }
-
-let run ?(trials = 3) ?(seed = 42) ?(nodes = 48) ?(tasks = 4_000)
-    ?(families = families) ?(churns = churns) ?(drops = drops) ?journal
-    ?trial_timeout () =
-  let grid =
-    List.concat_map
-      (fun strategy ->
-        List.concat_map
-          (fun churn -> List.map (fun drop -> (strategy, churn, drop)) drops)
-          churns)
-      families
-  in
-  (* Disjoint per-cell seed ranges; see Runner.stride_seed. *)
-  List.mapi
-    (fun index (strategy, churn, drop) ->
-      let cell_seed = Runner.stride_seed ~base:seed ~trials ~index in
-      let params =
-        Strategy.default_params strategy
-          {
-            (Params.default ~nodes ~tasks) with
-            Params.seed = cell_seed;
-            churn_rate = churn;
-            faults = { Faults.none with Faults.drop };
-          }
-      in
-      let key =
-        Journal.key
-          [
-            ("experiment", Json_out.String "head_to_head");
-            ("strategy", Json_out.String (Strategy.name strategy));
-            ("churn", Json_out.Float churn);
-            ("drop", Json_out.Float drop);
-            ("nodes", Json_out.Int nodes);
-            ("tasks", Json_out.Int tasks);
-            ("seed", Json_out.Int cell_seed);
-            ("trials", Json_out.Int trials);
-          ]
-      in
-      Journal.cell journal ~key ~encode:cell_to_json
-        ~decode:(cell_of_json ~strategy ~churn ~drop) (fun () ->
-          let results =
-            Runner.run_all ~trials ?trial_timeout params (Strategy.make strategy)
-          in
-          let mean_msg field =
-            Descriptive.mean
-              (Array.map
-                 (fun (r : Engine.result) ->
-                   float_of_int (field r.Engine.messages))
-                 results)
-          in
-          {
-            strategy;
-            churn;
-            drop;
-            mean_work_transfers = mean_msg (fun m -> m.Messages.work_transfers);
-            mean_key_transfers = mean_msg (fun m -> m.Messages.key_transfers);
-            aggregate = Runner.aggregate_of params results;
-          }))
-    grid
 
 (* A deterministic corpus: enough repeated vocabulary that the shuffle
    phase concentrates load on the hot words' owners. *)
@@ -168,21 +67,6 @@ let makespans ?(seed = 42) ?(nodes = 24) ?(tasks = 1_200) ?(warm_ticks = 30)
       })
     families
 
-let print_table cells =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "%-15s %6s %6s %14s %13s %12s %8s\n" "strategy" "churn"
-       "drop" "work_transfers" "key_transfers" "mean factor" "aborted");
-  List.iter
-    (fun c ->
-      let a = c.aggregate in
-      Buffer.add_string buf
-        (Printf.sprintf "%-15s %6.3f %6.3f %14.1f %13.1f %12.3f %8d\n"
-           (Strategy.name c.strategy) c.churn c.drop c.mean_work_transfers
-           c.mean_key_transfers a.Runner.mean_factor a.Runner.aborted))
-    cells;
-  Buffer.contents buf
-
 let print_makespans rows =
   let buf = Buffer.create 256 in
   Buffer.add_string buf
@@ -196,3 +80,17 @@ let print_makespans rows =
            m.reduce_makespan m.total_makespan))
     rows;
   Buffer.contents buf
+
+let makespans_json rows =
+  Json_out.List
+    (List.map
+       (fun m ->
+         Json_out.Obj
+           [
+             ("strategy", Json_out.String (Strategy.name m.ms_strategy));
+             ("warm_vnodes", Json_out.Int m.warm_vnodes);
+             ("map_makespan", Json_out.Int m.map_makespan);
+             ("reduce_makespan", Json_out.Int m.reduce_makespan);
+             ("total_makespan", Json_out.Int m.total_makespan);
+           ])
+       rows)

@@ -1,25 +1,8 @@
-(** Head-to-head: Sybil strategies versus the non-Sybil competitors.
-
-    A (strategy family × churn × reply-drop) grid on the full batch
-    simulation, plus a ChordReduce makespan leg: warm each strategy's
-    ring, then run a word-count MapReduce ({!Mapreduce.word_count}) over
-    the resulting vnode set and report the per-phase makespans the
-    balancing families are supposed to shrink.
-
-    Per cell, [mean_work_transfers] (tasks moved with no ownership
-    change — nonzero only for {!Strategy.Diffusive}) and
-    [mean_key_transfers] (ownership handovers — the Sybil and
-    range-reassignment currencies) separate the families mechanically
-    alongside the usual runtime-factor aggregate. *)
-
-type cell = {
-  strategy : Strategy.t;
-  churn : float;  (** per-node per-tick churn rate for this cell *)
-  drop : float;  (** control-plane reply-drop probability *)
-  mean_work_transfers : float;  (** mean diffusive transfers per trial *)
-  mean_key_transfers : float;  (** mean ownership handovers per trial *)
-  aggregate : Runner.aggregate;
-}
+(** The ChordReduce leg of the head-to-head comparison, whose grid is
+    {!Sweep.head_to_head}: warm each strategy's ring, then run a
+    word-count MapReduce ({!Mapreduce.word_count}) over the resulting
+    vnode set and report the per-phase makespans the balancing families
+    are supposed to shrink. *)
 
 type makespan = {
   ms_strategy : Strategy.t;
@@ -33,30 +16,6 @@ val families : Strategy.t list
 (** Default [none; random; invitation; diffusive; range-reassign] — one
     representative per family plus the no-balancing floor. *)
 
-val churns : float list
-(** Default [0.0; 0.01]. *)
-
-val drops : float list
-(** Default [0.0; 0.05]. *)
-
-val run :
-  ?trials:int ->
-  ?seed:int ->
-  ?nodes:int ->
-  ?tasks:int ->
-  ?families:Strategy.t list ->
-  ?churns:float list ->
-  ?drops:float list ->
-  ?journal:Journal.t ->
-  ?trial_timeout:float ->
-  unit ->
-  cell list
-(** Cells in [families] × [churns] × [drops] order, per-cell seeds
-    strided by {!Runner.stride_seed} so no two cells share a trial
-    seed.  [journal] makes the sweep resumable (completed cells skipped
-    — {!Journal}); [trial_timeout] arms the per-trial watchdog
-    ({!Runner.run_trials}). *)
-
 val makespans :
   ?seed:int ->
   ?nodes:int ->
@@ -68,5 +27,7 @@ val makespans :
 (** The ChordReduce leg: one warmed ring and one word-count job per
     family, on a deterministic corpus. *)
 
-val print_table : cell list -> string
 val print_makespans : makespan list -> string
+
+val makespans_json : makespan list -> Json_out.t
+(** One object per family, for the head-to-head JSON export. *)

@@ -15,7 +15,6 @@
    skipped on reload by the total parser. *)
 
 type t = {
-  path : string;
   cells : (string, Json_out.t) Hashtbl.t;
   oc : out_channel;
   mutable loaded : int;  (** cells recovered from a pre-existing file *)
@@ -66,9 +65,8 @@ let open_ path =
    end);
   let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path in
   if !torn_tail then output_char oc '\n';
-  { path; cells; oc; loaded = !loaded }
+  { cells; oc; loaded = !loaded }
 
-let path t = t.path
 let loaded t = t.loaded
 let find t ~key = Hashtbl.find_opt t.cells key
 

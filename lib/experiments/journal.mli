@@ -22,8 +22,6 @@ val open_ : string -> t
     appending.  Duplicate keys resolve to the last line, matching append
     order. *)
 
-val path : t -> string
-
 val loaded : t -> int
 (** Number of cell lines recovered from the pre-existing file (0 for a
     fresh journal) — lets drivers report "resuming, N cells done". *)

@@ -1047,16 +1047,29 @@ let active_count o =
 
 (* Naive Knuth product-of-uniforms Poisson sampler: k+1 [float_unit]
    draws for a count of k, and no draw at all when the rate is <= 0 —
-   the same stream contract as Arrivals.poisson_count, re-derived. *)
+   the same stream contract as Arrivals.poisson_count, re-derived.  A
+   rate above 700 (where exp (-rate) underflows) is the sum of the
+   fewest equal parts of at most 700 each. *)
 let poisson_count_naive o lambda =
-  if lambda <= 0.0 then 0
-  else begin
+  let knuth lambda =
     let l = exp (-.lambda) in
     let rec go k p =
       let p = p *. Prng.float_unit o.arng in
       if p <= l then k else go (k + 1) p
     in
     go 0 1.0
+  in
+  if lambda <= 0.0 then 0
+  else begin
+    let parts = ref 1 in
+    while lambda /. float_of_int !parts > 700.0 do
+      incr parts
+    done;
+    let total = ref 0 in
+    for _ = 1 to !parts do
+      total := !total + knuth (lambda /. float_of_int !parts)
+    done;
+    !total
   end
 
 let apply_arrivals o =

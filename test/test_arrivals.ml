@@ -135,8 +135,7 @@ let test_pin (cname, sname, expected) () =
    until the product falls to exp(-lambda).  Must match
    Arrivals.poisson_count count for count AND draw for draw. *)
 let naive_poisson rng lambda =
-  if lambda <= 0.0 then 0
-  else begin
+  let knuth lambda =
     let l = exp (-.lambda) in
     let k = ref 0 and p = ref 1.0 and sampling = ref true in
     while !sampling do
@@ -144,6 +143,20 @@ let naive_poisson rng lambda =
       if !p <= l then sampling := false else incr k
     done;
     !k
+  in
+  if lambda <= 0.0 then 0
+  else begin
+    (* Above 700, exp (-lambda) underflows: sum the fewest equal parts
+       of at most 700, drawn one after the other. *)
+    let parts = ref 1 in
+    while lambda /. float_of_int !parts > 700.0 do
+      incr parts
+    done;
+    let total = ref 0 in
+    for _ = 1 to !parts do
+      total := !total + knuth (lambda /. float_of_int !parts)
+    done;
+    !total
   end
 
 let test_poisson_matches_naive () =
@@ -162,7 +175,24 @@ let test_poisson_matches_naive () =
       Alcotest.(check int64)
         (Printf.sprintf "stream position after lambda %g" lambda)
         (Prng.bits64 b) (Prng.bits64 a))
-    [ 0.0; 0.3; 1.0; 2.5; 8.0; 25.0 ]
+    [ 0.0; 0.3; 1.0; 2.5; 8.0; 25.0; 700.0; 701.0; 2000.0 ]
+
+(* Above the underflow point the counts must still be Poisson(lambda):
+   the sample mean lands within 5 standard errors of lambda. *)
+let test_poisson_mean_at_high_rates () =
+  List.iter
+    (fun lambda ->
+      let rng = Prng.create 17 and n = 400 in
+      let sum = ref 0 in
+      for _ = 1 to n do
+        sum := !sum + Arrivals.poisson_count rng lambda
+      done;
+      let mean = float_of_int !sum /. float_of_int n in
+      let se = sqrt (lambda /. float_of_int n) in
+      if Float.abs (mean -. lambda) > 5.0 *. se then
+        Alcotest.failf "lambda %g: sample mean %g, more than 5 SE (%g) off"
+          lambda mean se)
+    [ 2000.0; 10_000.0 ]
 
 let test_zero_rate_draws_nothing () =
   let a = Prng.create 5 and b = Prng.create 5 in
@@ -468,6 +498,8 @@ let () =
         [
           Alcotest.test_case "poisson = naive reference" `Quick
             test_poisson_matches_naive;
+          Alcotest.test_case "poisson mean above the underflow point" `Quick
+            test_poisson_mean_at_high_rates;
           Alcotest.test_case "zero rate draws nothing" `Quick
             test_zero_rate_draws_nothing;
           Alcotest.test_case "third stream is independent" `Quick

@@ -415,11 +415,16 @@ let test_journal_undecodable_payload_recomputed () =
 let test_journaled_sweep_resumes_bit_identical () =
   with_temp_file ".jsonl" @@ fun path ->
   Sys.remove path;
-  let rates = [ 0.0; 0.01 ] and configs = [ (12, 100) ] in
-  let fresh = Churn_sweep.run ~trials:2 ~seed:5 ~rates ~configs () in
+  let spec =
+    {
+      Sweep.churn with
+      Sweep.axes = [ Sweep.churn_rates [ 0.0; 0.01 ]; Sweep.shapes [ (12, 100) ] ];
+    }
+  in
+  let fresh = Sweep.run ~trials:2 ~seed:5 spec in
   (* full journaled run, then truncate the journal to its first line *)
   let j = Journal.open_ path in
-  let journaled = Churn_sweep.run ~trials:2 ~seed:5 ~rates ~configs ~journal:j () in
+  let journaled = Sweep.run ~trials:2 ~seed:5 ~journal:j spec in
   Journal.close j;
   Alcotest.(check bool) "journaled run matches plain run" true
     (compare fresh journaled = 0);
@@ -439,14 +444,14 @@ let test_journaled_sweep_resumes_bit_identical () =
   close_out oc;
   let j = Journal.open_ path in
   Alcotest.(check int) "one cell survives truncation" 1 (Journal.loaded j);
-  let resumed = Churn_sweep.run ~trials:2 ~seed:5 ~rates ~configs ~journal:j () in
+  let resumed = Sweep.run ~trials:2 ~seed:5 ~journal:j spec in
   Journal.close j;
   Alcotest.(check bool) "resumed sweep is bit-identical" true
     (compare fresh resumed = 0);
   (* a different seed shares no keys: everything recomputes, the journal
      doubles in size *)
   let j = Journal.open_ path in
-  ignore (Churn_sweep.run ~trials:2 ~seed:6 ~rates ~configs ~journal:j ());
+  ignore (Sweep.run ~trials:2 ~seed:6 ~journal:j spec);
   Alcotest.(check int) "changed seed recomputes every cell"
     (2 * List.length fresh)
     (Hashtbl.length

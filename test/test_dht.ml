@@ -4,7 +4,11 @@ let i = Id.of_int
 
 (* Deterministic leftmost pick: tests below assert counts, not spread. *)
 let leftmost _ = 0
-let consume = Dht.consume ~pick:leftmost
+(* Consume by vnode id; a non-member consumes nothing. *)
+let consume dht id n =
+  match Dht.find dht id with
+  | Some vn -> Dht.consume_vnode ~pick:leftmost dht vn n
+  | None -> 0
 
 let mk_dht node_ints key_ints =
   let dht = Dht.create () in
@@ -171,8 +175,9 @@ let prop_random_ops =
 let test_consume_rejects_bad_pick () =
   let dht = mk_dht [ 100 ] [ 10; 20; 30 ] in
   Alcotest.check_raises "pick out of range"
-    (Invalid_argument "Dht.consume: pick out of range") (fun () ->
-      ignore (Dht.consume ~pick:(fun c -> c) dht (i 100) 1))
+    (Invalid_argument "Dht.consume_vnode_keys: pick out of range") (fun () ->
+      let vn = Option.get (Dht.find dht (i 100)) in
+      ignore (Dht.consume_vnode ~pick:(fun c -> c) dht vn 1))
 
 (* Bulk loading must land every key on the same owner as one-at-a-time
    insertion, drop duplicates the same way, and count what it stored. *)

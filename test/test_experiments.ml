@@ -41,19 +41,26 @@ let test_figures_1_3_render () =
   Alcotest.(check bool) "figure3 labelled evenly" true (contains f3 "evenly")
 
 let test_churn_sweep_small () =
-  let cells =
-    Churn_sweep.run ~trials:1 ~seed:5 ~rates:[ 0.0; 0.02 ]
-      ~configs:[ (50, 1_000) ] ()
+  let spec =
+    {
+      Sweep.churn with
+      Sweep.axes = [ Sweep.churn_rates [ 0.0; 0.02 ]; Sweep.shapes [ (50, 1_000) ] ];
+    }
   in
-  Alcotest.(check int) "two cells" 2 (List.length cells);
+  let rows = Sweep.run ~trials:1 ~seed:5 spec in
+  Alcotest.(check int) "two cells" 2 (List.length rows);
   let factor rate =
-    match List.find_opt (fun c -> c.Churn_sweep.churn_rate = rate) cells with
-    | Some c -> c.Churn_sweep.aggregate.Runner.mean_factor
+    match
+      List.find_opt
+        (fun (r : Sweep.row) -> r.Sweep.cell.Sweep.params.Params.churn_rate = rate)
+        rows
+    with
+    | Some r -> r.Sweep.aggregate.Runner.mean_factor
     | None -> Alcotest.fail "missing cell"
   in
   (* churn helps (Table II's direction) *)
   Alcotest.(check bool) "churn lowers factor" true (factor 0.02 < factor 0.0);
-  let printed = Churn_sweep.print_table cells in
+  let printed = spec.Sweep.table rows in
   Alcotest.(check bool) "table header" true (contains printed "Churn")
 
 let test_paired_figure_small () =
@@ -135,51 +142,64 @@ let test_failure_recovery_small () =
   Alcotest.(check bool) "table header" true (contains printed "replicas")
 
 let test_recovery_sweep_small () =
-  let cells =
-    Recovery_sweep.run ~seed:6 ~nodes:24 ~tasks:1_200 ~trials:2
-      ~replica_counts:[ 1; 3 ] ~burst_counts:[ 12 ] ()
+  let spec =
+    {
+      Sweep.recovery with
+      Sweep.base = Params.default ~nodes:24 ~tasks:1_200;
+      axes = [ Sweep.replica_counts [ 1; 3 ]; Sweep.burst_counts [ 12 ] ];
+    }
   in
-  Alcotest.(check int) "two cells" 2 (List.length cells);
-  (match cells with
+  let rows = Sweep.run ~seed:6 ~trials:2 spec in
+  Alcotest.(check int) "two cells" 2 (List.length rows);
+  let loss r = Sweep.metric r "measured_loss_rate" in
+  (match rows with
   | [ r1; r3 ] ->
     Alcotest.(check bool) "more replicas never lose more" true
-      (r3.Recovery_sweep.measured_loss_rate
-      <= r1.Recovery_sweep.measured_loss_rate);
+      (loss r3 <= loss r1);
     List.iter
-      (fun (c : Recovery_sweep.cell) ->
+      (fun (r : Sweep.row) ->
         Alcotest.(check bool) "loss rate in [0, 1]" true
-          (c.Recovery_sweep.measured_loss_rate >= 0.0
-          && c.Recovery_sweep.measured_loss_rate <= 1.0);
+          (loss r >= 0.0 && loss r <= 1.0);
         Alcotest.(check bool) "aggregate ledger matches rate" true
           (Float.abs
-             (c.Recovery_sweep.aggregate.Runner.mean_tasks_lost
-             -. (c.Recovery_sweep.measured_loss_rate *. 1_200.0))
+             (r.Sweep.aggregate.Runner.mean_tasks_lost -. (loss r *. 1_200.0))
           < 1e-6))
-      cells
+      rows
   | _ -> Alcotest.fail "cell shape");
-  let printed = Recovery_sweep.print_table cells in
+  let printed = spec.Sweep.table rows in
   Alcotest.(check bool) "table header" true (contains printed "expected f^r+1");
   Alcotest.(check bool) "csv header" true
-    (contains (Export.recovery_sweep_csv cells) "measured_loss_rate")
+    (contains (Sweep.csv spec rows) "measured_loss_rate")
 
+(* The attacker's window is the sweep's own (ticks 2-18), which opens
+   well before a 24-machine, 1000-task run ends. *)
 let test_attack_sweep_small () =
-  let cells =
-    Attack_sweep.run ~trials:1 ~seed:13 ~nodes:24 ~tasks:1_000 ~window:(2, 10)
-      ~strengths:[ 0; 3 ] ~puzzle_costs:[ 0 ] ()
+  let spec =
+    {
+      Sweep.attack with
+      Sweep.base = { Sweep.attack.Sweep.base with Params.nodes = 24; tasks = 1_000 };
+      axes =
+        [
+          Sweep.strategies [ Strategy.Random_injection ];
+          Sweep.strengths [ 0; 3 ];
+          Sweep.puzzle_costs [ 0 ];
+        ];
+    }
   in
-  Alcotest.(check int) "two cells" 2 (List.length cells);
-  (match cells with
+  let rows = Sweep.run ~trials:1 ~seed:13 spec in
+  Alcotest.(check int) "two cells" 2 (List.length rows);
+  (match rows with
   | [ baseline; attacked ] ->
     Alcotest.(check (float 1e-9)) "no attacker, no attack joins" 0.0
-      baseline.Attack_sweep.mean_attack_joins;
+      (Sweep.metric baseline "mean_attack_joins");
     Alcotest.(check bool) "attacker injects" true
-      (attacked.Attack_sweep.mean_attack_joins > 0.0);
+      (Sweep.metric attacked "mean_attack_joins" > 0.0);
     Alcotest.(check (float 1e-9)) "defense off, no puzzles" 0.0
-      attacked.Attack_sweep.mean_puzzles
+      (Sweep.metric attacked "mean_puzzles")
   | _ -> Alcotest.fail "cell shape");
-  let printed = Attack_sweep.print_table cells in
+  let printed = spec.Sweep.table rows in
   Alcotest.(check bool) "table header" true (contains printed "puzzle");
-  let csv = Export.attack_sweep_csv cells in
+  let csv = Sweep.csv spec rows in
   Alcotest.(check bool) "csv header" true (contains csv "mean_attack_joins");
   Alcotest.(check bool) "csv tracks tasks_lost" true
     (contains csv "mean_tasks_lost")

@@ -786,6 +786,13 @@ let arrival_scenarios =
             Arrivals.profile = Some (Arrivals.Poisson { rate = 5.0 });
             horizon = 25;
             window = 5 } } );
+    ( "high-rate",
+      { fault_base with
+        arrivals =
+          { Arrivals.none with
+            Arrivals.profile = Some (Arrivals.Poisson { rate = 1500.0 });
+            horizon = 2;
+            window = 1 } } );
     ( "zero-rate",
       { fault_base with
         arrivals =

@@ -135,10 +135,10 @@ let prop_extract_ranks =
       && S.cardinal s' = S.cardinal s - List.length ranks
       && List.for_all (fun x -> not (S.mem x s')) taken)
 
-(* The load-bearing property for Dht.consume stream compatibility: with
-   the same [rand] draw sequence, the one-pass bulk removal picks exactly
-   the elements the old nth-then-remove loop picked, in the same order of
-   draws. *)
+(* The load-bearing property for Dht.consume_vnode stream compatibility:
+   with the same [rand] draw sequence, the one-pass bulk removal picks
+   exactly the elements the old nth-then-remove loop picked, in the same
+   order of draws. *)
 let prop_take_random_n_matches_loop =
   Testutil.prop ~count:300 "take_random_n = sequential nth/remove loop"
     QCheck.(triple (small_list (int_bound 1000)) small_nat small_nat)
