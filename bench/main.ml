@@ -571,15 +571,9 @@ let micro () =
     !s
   in
   let arc = Interval.make ~after:id_a ~upto:id_b in
-  let ring_dht =
-    let dht = Dht.create () in
-    Array.iter
-      (fun id ->
-        match Dht.join dht ~id ~payload:() with Ok _ -> () | Error _ -> ())
-      (Keygen.node_ids rng 1000);
-    dht
+  let ring =
+    Array.fold_left (fun r id -> Ring.add id () r) Ring.empty (Keygen.node_ids rng 1000)
   in
-  let ring = Dht.ring ring_dht in
   let tables = Routing.build_tables ring in
   let start = match Ring.min_binding_opt ring with
     | Some (id, _) -> id

@@ -73,6 +73,35 @@ cmp "$ckpt_dir/reference.json" "$ckpt_dir/resumed.json"
 echo "    resumed result byte-identical to the uninterrupted run"
 rm -rf "$ckpt_dir"
 
+echo "==> hostile checkpoint smoke (one flipped body byte: --resume refuses before unmarshaling)"
+# A completed run leaves its last periodic checkpoint; flipping one bit
+# in the middle of the marshaled body (past the five header lines) must
+# make --resume exit 2 with the body-digest refusal as its only stderr
+# line, without handing the altered bytes to Marshal.
+bad_dir=$(mktemp -d)
+bad_args="--nodes 100 --tasks 2000 --churn 0.02 --strategy invitation \
+  --arrivals poisson=20,horizon=200,window=50 --seed 7"
+"$dhtlb" stream $bad_args --checkpoint "$bad_dir/run.ckpt" --checkpoint-every 50 \
+  --out "$bad_dir/full.json" >/dev/null 2>&1
+header_len=$(head -n 5 "$bad_dir/run.ckpt" | wc -c)
+file_len=$(wc -c < "$bad_dir/run.ckpt")
+at=$((header_len + (file_len - header_len) / 2))
+byte=$(dd if="$bad_dir/run.ckpt" bs=1 skip="$at" count=1 2>/dev/null | od -An -tu1 | tr -d ' ')
+printf "\\$(printf '%03o' $((byte ^ 1)))" |
+  dd of="$bad_dir/run.ckpt" bs=1 seek="$at" count=1 conv=notrunc 2>/dev/null
+status=0
+"$dhtlb" stream $bad_args --checkpoint "$bad_dir/run.ckpt" --resume \
+  --out "$bad_dir/resumed.json" >/dev/null 2>"$bad_dir/stderr" || status=$?
+if [ "$status" -ne 2 ] || [ "$(wc -l < "$bad_dir/stderr")" -ne 1 ] ||
+  ! grep -q "refused before unmarshaling" "$bad_dir/stderr"; then
+  echo "==> hostile checkpoint smoke FAILED: exit $status, stderr:" >&2
+  cat "$bad_dir/stderr" >&2
+  rm -rf "$bad_dir"
+  exit 1
+fi
+echo "    refused: $(cat "$bad_dir/stderr")"
+rm -rf "$bad_dir"
+
 echo "==> journaled sweep resume smoke (truncated journal recomputes only the missing cells)"
 # A journaled sweep must print the same table as an unjournaled one;
 # truncating the journal to its first 3 cells and rerunning must

@@ -1,27 +1,35 @@
 (* A checkpoint file is a short self-describing text header followed by
    a Marshal body.  The header lets [load] refuse a mismatched file —
-   wrong format, wrong version, different parameters — with a clear
-   message *before* it hands untrusted bytes to [Marshal.from_channel],
-   which would otherwise fail with an unhelpful [Failure "input_value:
-   ..."] (or worse, succeed and resume a subtly different run).
+   wrong format, wrong version, different parameters, a body that is
+   not the one that was written — with a clear message *before* it
+   hands untrusted bytes to [Marshal.from_channel], which would
+   otherwise fail with an unhelpful [Failure "input_value: ..."] (or
+   worse, succeed and resume a subtly different run).
 
    Layout (all header lines LF-terminated, body starts right after):
 
-     DHTLB-CKPT v1
+     DHTLB-CKPT v2
      git_rev <rev>
      params_digest <40-hex sha1>
      tick <n>
-     <Marshal.to_channel of Engine.progress>
+     body_sha1 <40-hex sha1 of the body bytes>
+     <Marshal.to_string of Engine.progress>
+
+   [Marshal] is not type-safe: a body written under another layout of
+   [Engine.progress] is undefined behaviour to read, not an error.  The
+   version therefore moves with every layout change (v2: [Dht.t] became
+   a chunked array index), and the body digest refuses a torn or
+   altered body before a single byte of it is unmarshaled.
 
    The body is marshaled with default flags: [Engine.progress] is plain
    data (no closures anywhere — the strategy is re-supplied at resume),
    and default marshaling preserves the intra-value sharing the state
-   relies on (one vnode record reachable from the ring, the hash index
-   and its machine's vnode list must stay one block, which
+   relies on (one vnode record reachable from the ring index and its
+   machine's vnode list must stay one block, which
    [State.check_invariants] tests by physical equality). *)
 
 let magic = "DHTLB-CKPT"
-let format_version = 1
+let format_version = 2
 
 let current_git_rev () =
   match Sys.getenv_opt "DHTLB_GIT_REV" with
@@ -43,12 +51,28 @@ type header = {
 }
 
 let save ~path (params : Params.t) (p : Engine.progress) =
+  let body = Marshal.to_string p [] in
   Atomic_write.with_channel ~fsync:true path (fun oc ->
       Printf.fprintf oc "%s v%d\n" magic format_version;
       Printf.fprintf oc "git_rev %s\n" (current_git_rev ());
       Printf.fprintf oc "params_digest %s\n" (digest_of_params params);
       Printf.fprintf oc "tick %d\n" p.Engine.p_state.State.tick;
-      Marshal.to_channel oc p [])
+      Printf.fprintf oc "body_sha1 %s\n" (Sha1.digest_hex body);
+      output_string oc body)
+
+(* SHA-1 of everything from the current position to the end of the
+   channel, in bounded memory. *)
+let digest_rest ic =
+  let ctx = Sha1.init () and buf = Bytes.create 65536 in
+  let rec go () =
+    let n = input ic buf 0 (Bytes.length buf) in
+    if n > 0 then begin
+      Sha1.feed_bytes ctx ~len:n buf;
+      go ()
+    end
+  in
+  go ();
+  Sha1.hex_of_digest (Sha1.get ctx)
 
 (* Header parsing: each line is "<name> <value>".  Errors name the file
    and the offending line so a refusal is actionable. *)
@@ -116,6 +140,19 @@ let load ~path (params : Params.t) =
                   original configuration, or start a fresh run"
                  path params_digest current)
         in
+        let* body_sha1 = field ic ~path ~name:"body_sha1" in
+        let body_start = pos_in ic in
+        let* () =
+          let actual = digest_rest ic in
+          if String.equal actual body_sha1 then Ok ()
+          else
+            Error
+              (Printf.sprintf
+                 "%s: corrupt checkpoint body: its SHA-1 %s differs from the \
+                  header's body_sha1 %s; refused before unmarshaling"
+                 path actual body_sha1)
+        in
+        seek_in ic body_start;
         let* (p : Engine.progress) =
           match Marshal.from_channel ic with
           | p -> Ok p

@@ -11,23 +11,26 @@
     The file is self-describing: a text header
 
     {v
-DHTLB-CKPT v1
+DHTLB-CKPT v2
 git_rev <rev>
 params_digest <40-hex sha1>
 tick <n>
+body_sha1 <40-hex sha1>
     v}
 
     precedes the marshaled body.  {!load} refuses — with a clear error,
     before unmarshaling anything — files with the wrong magic, an
-    unsupported format version, or a parameter digest that does not
-    match the parameters the caller is about to resume under.  A
+    unsupported format version (v1 files, whose body has another state
+    layout, included), a parameter digest that does not match the
+    parameters the caller is about to resume under, or a body whose
+    SHA-1 differs from [body_sha1] (a torn or altered file).  A
     [git_rev] mismatch is {e reported but not refused} (the header is
     returned; callers compare against {!current_git_rev} and warn):
     marshaled state is only portable across builds whose type layout
     agrees, which a rev string can neither prove nor disprove. *)
 
 type header = {
-  version : int;  (** the file's format version (currently 1) *)
+  version : int;  (** the file's format version (currently 2) *)
   git_rev : string;  (** revision recorded at save time *)
   params_digest : string;  (** SHA-1 over the marshaled {!Params.t} *)
   tick : int;  (** tick the checkpoint was taken at *)
@@ -54,7 +57,9 @@ val load : path:string -> Params.t -> (Engine.progress * header, string) result
 (** [load ~path params] reads a checkpoint back, refusing (as [Error]
     with a message naming the file and the reason) a missing or
     unreadable file, a non-checkpoint, an unsupported version, a
-    parameter digest differing from [digest_of_params params], a corrupt
-    body, or a header/state tick disagreement.  On [Ok] the progress is
+    parameter digest differing from [digest_of_params params], a body
+    whose digest differs from the header's (checked before
+    unmarshaling), a corrupt body, or a header/state tick
+    disagreement.  On [Ok] the progress is
     ready for {!Engine.resume}; the header is returned so callers can
     warn on a [git_rev] differing from {!current_git_rev}. *)

@@ -10,9 +10,16 @@
     - a vnode leaving hands its remaining keys to its successor.
 
     The payload type ['a] carries simulator state (e.g. which physical
-    node owns the vnode).  The structure is mutable; all operations are
-    O(log n) plus the size of any key range moved.  Message costs are
-    charged to the embedded {!Messages.t}. *)
+    node owns the vnode).  The structure is mutable.  Vnodes sit in one
+    ordered index of fixed-capacity chunks (id order, wrap-aware as on
+    the Chord circle): every lookup is one O(log n) search, a join or
+    leave adds a shift of at most one chunk (plus the size of any key
+    range moved), and the [k_*] walks add [k] steps.  Message costs are
+    charged to the embedded {!Messages.t}.
+
+    The index is updated in place, so {!iter}, {!fold} and {!insert_keys}
+    see no snapshot: their callbacks must not {!join}, {!leave} or
+    {!crash} (reading the ring and changing a vnode's keys is fine). *)
 
 type 'a vnode = private {
   id : Id.t;
@@ -33,6 +40,7 @@ val total_keys : 'a t -> int
 (** Keys currently stored across all vnodes; O(1). *)
 
 val find : 'a t -> Id.t -> 'a vnode option
+(** The member with this id, if any; one search. *)
 
 val join : 'a t -> id:Id.t -> payload:'a -> ('a vnode, [ `Occupied ]) result
 (** Insert a vnode.  If the ring is non-empty the newcomer immediately
@@ -115,21 +123,45 @@ val transfer_keys :
     @raise Invalid_argument if [pick] returns an index out of range. *)
 
 val workload : 'a t -> Id.t -> int
-(** Tasks currently owned by a vnode; [0] if not a member. O(1). *)
+(** Tasks currently owned by a vnode; [0] if not a member.  One
+    {!find}. *)
+
+(** The navigation below means exactly what the same names mean on
+    {!Ring}: clockwise is increasing id, wrapping past [2^160 - 1]. *)
 
 val arc_of : 'a t -> Id.t -> Interval.t option
+(** A member's responsibility arc [(predecessor, id]]; [None] for a
+    non-member.  A lone member's arc starts and ends at itself (the full
+    ring). *)
+
 val successor : 'a t -> Id.t -> 'a vnode option
+(** First member strictly clockwise of the id (a lone member is its own
+    successor); [None] only on an empty ring. *)
+
 val predecessor : 'a t -> Id.t -> 'a vnode option
+(** First member strictly counterclockwise of the id. *)
+
 val k_successors : 'a t -> Id.t -> int -> 'a vnode list
+(** Up to [min k (size - 1)] members clockwise of the id, nearest first,
+    never the id itself. *)
+
 val k_predecessors : 'a t -> Id.t -> int -> 'a vnode list
+(** {!k_successors} counterclockwise. *)
 
 val iter : ('a vnode -> unit) -> 'a t -> unit
+(** Visits every vnode in ascending id order.  [f] must not join, leave
+    or crash vnodes: the walk runs over the live index. *)
+
 val fold : ('a vnode -> 'b -> 'b) -> 'a t -> 'b -> 'b
+(** {!iter} with an accumulator; the same no-mutation contract. *)
+
 val vnode_ids : 'a t -> Id.t list
-val ring : 'a t -> 'a vnode Ring.t
-(** The underlying ring, e.g. for building finger tables. *)
 
 val check_invariants : 'a t -> unit
-(** Asserts: key counts consistent and — while no work transfer has
-    happened ([work_transfers = 0]) — every key owned by the correct
-    vnode.  O(n·keys); for tests only. *)
+(** Asserts the index's structural laws — no empty chunk, every chunk's
+    cached last prefix equal to its last slot's, every slot's prefix the
+    prefix of its vnode's id, ids strictly ascending across chunk
+    boundaries, [size] equal to the number of slots, every member found
+    by a search — then that key counts are consistent and — while no
+    work transfer has happened ([work_transfers = 0]) — every key owned
+    by the correct vnode.  O(n·keys); for tests and [DHTLB_CHECK]. *)

@@ -2,8 +2,8 @@ type payload = { owner : int }
 
 (* A machine's ring presences are held as the live [Dht.vnode] records,
    not ids: the consume/workload hot paths touch every machine every
-   tick, and going id -> record through the DHT's hash index on each
-   touch dominated the tick at 100k+ nodes.  The lists are kept in
+   tick, and going id -> record through a DHT lookup on each touch
+   dominated the tick at 100k+ nodes.  The lists are kept in
    strict sync with ring membership (join/leave/crash update both
    sides), and [check_invariants] verifies each held record is
    physically the ring's own — a departed record is dropped here and

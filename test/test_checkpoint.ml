@@ -233,7 +233,7 @@ let test_refuses_garbage () =
 let test_refuses_future_version () =
   with_temp_file ".ckpt" @@ fun path ->
   let oc = open_out_bin path in
-  output_string oc "DHTLB-CKPT v2\ngit_rev x\nparams_digest 0\ntick 0\n";
+  output_string oc "DHTLB-CKPT v3\ngit_rev x\nparams_digest 0\ntick 0\n";
   close_out oc;
   check_refused "version" ~substring:"unsupported checkpoint version"
     (Checkpoint.load ~path small_params)
@@ -246,7 +246,7 @@ let test_refuses_truncated_body () =
   (* keep the whole header plus a sliver of the marshal body *)
   let header_end =
     let rec skip n = if n = 0 then pos_in ic else (ignore (input_line ic); skip (n - 1)) in
-    skip 4
+    skip 5
   in
   seek_in ic 0;
   let keep = min len (header_end + 8) in
@@ -257,6 +257,49 @@ let test_refuses_truncated_body () =
   close_out oc;
   check_refused "truncated" ~substring:"corrupt checkpoint body"
     (Checkpoint.load ~path small_params)
+
+(* The whole file as lines of the header and the body bytes after them. *)
+let read_checkpoint path =
+  let ic = open_in_bin path in
+  let header = List.init 5 (fun _ -> input_line ic) in
+  let body = really_input_string ic (in_channel_length ic - pos_in ic) in
+  close_in ic;
+  (header, body)
+
+let write_file path contents =
+  let oc = open_out_bin path in
+  output_string oc contents;
+  close_out oc
+
+(* A v1 file: the v2 header minus its body_sha1 line, over a body of the
+   old layout.  Its params digest matches, so only the version refuses
+   it — reading that body as the current layout would be undefined. *)
+let test_refuses_v1 () =
+  with_temp_file ".ckpt" @@ fun path ->
+  write_checkpoint ~path small_params;
+  let header, body = read_checkpoint path in
+  let v1 =
+    "DHTLB-CKPT v1" :: List.filteri (fun i _ -> i >= 1 && i <= 3) header
+  in
+  write_file path (String.concat "\n" v1 ^ "\n" ^ body);
+  check_refused "v1" ~substring:"unsupported checkpoint version"
+    (Checkpoint.load ~path small_params)
+
+let test_refuses_flipped_body_byte () =
+  with_temp_file ".ckpt" @@ fun path ->
+  write_checkpoint ~path small_params;
+  let header, body = read_checkpoint path in
+  let flipped = Bytes.of_string body in
+  let at = Bytes.length flipped / 2 in
+  Bytes.set flipped at (Char.chr (Char.code (Bytes.get flipped at) lxor 0x01));
+  write_file path (String.concat "\n" header ^ "\n" ^ Bytes.to_string flipped);
+  check_refused "flipped byte" ~substring:"refused before unmarshaling"
+    (Checkpoint.load ~path small_params);
+  (* the same header over the intact body still loads *)
+  write_file path (String.concat "\n" header ^ "\n" ^ body);
+  match Checkpoint.load ~path small_params with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "intact body refused: %s" e
 
 let test_refuses_missing_file () =
   match Checkpoint.load ~path:"/nonexistent/dhtlb.ckpt" small_params with
@@ -520,6 +563,8 @@ let () =
           Alcotest.test_case "garbage magic" `Quick test_refuses_garbage;
           Alcotest.test_case "future version" `Quick test_refuses_future_version;
           Alcotest.test_case "truncated body" `Quick test_refuses_truncated_body;
+          Alcotest.test_case "v1 checkpoint" `Quick test_refuses_v1;
+          Alcotest.test_case "flipped body byte" `Quick test_refuses_flipped_body_byte;
           Alcotest.test_case "missing file" `Quick test_refuses_missing_file;
         ] );
       ( "draw-free",

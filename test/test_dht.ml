@@ -172,6 +172,243 @@ let prop_random_ops =
       Dht.check_invariants dht;
       Dht.total_keys dht = !inserted - !consumed)
 
+(* ---- the ordered index against a [Ring.t] model ------------------- *)
+
+(* Members and keys are drawn from a pool of ids of one family.  Small
+   ids all share prefix 0 and the two shared-head families tie on the
+   top 62 bits, so every comparison in those rings takes the full-id
+   path.  The pool is sorted, so a run of pool slots is a run of ring
+   neighbours: a few hundred joins split chunks, and a sweep of leaves
+   and crashes over consecutive slots empties them again. *)
+type family = Fresh | Small | Shared_head | Shared_prefix
+
+let family_name = function
+  | Fresh -> "fresh"
+  | Small -> "small"
+  | Shared_head -> "shared-head"
+  | Shared_prefix -> "shared-prefix"
+
+let pool_size = 512
+
+module Keys = Set.Make (Id)
+
+let id_pool family seed =
+  let rng = Prng.create seed in
+  let head = Bytes.create 8 in
+  Prng.fill_bytes rng head;
+  let with_head () =
+    let b = Bytes.create Id.bytes_len in
+    Prng.fill_bytes rng b;
+    Bytes.blit head 0 b 0 8;
+    b
+  in
+  let pool =
+    Array.init pool_size (fun n ->
+        match family with
+        | Fresh -> Keygen.fresh rng
+        | Small -> Id.of_int (Prng.int_below rng 4096)
+        | Shared_head -> Id.of_raw_string (Bytes.to_string (with_head ()))
+        | Shared_prefix ->
+          (* Same top 62 bits; bits 62-63 and the tail vary. *)
+          let b = with_head () in
+          Bytes.set b 7
+            (Char.chr ((Char.code (Bytes.get b 7) land 0xfc) lor (n land 3)));
+          Id.of_raw_string (Bytes.to_string b))
+  in
+  Array.sort Id.compare pool;
+  pool
+
+type model_op =
+  | M_join of int
+  | M_leave of int
+  | M_crash of int
+  | M_insert of int
+  | M_bulk of int * int
+
+let print_model_op = function
+  | M_join n -> Printf.sprintf "join %d" n
+  | M_leave n -> Printf.sprintf "leave %d" n
+  | M_crash n -> Printf.sprintf "crash %d" n
+  | M_insert n -> Printf.sprintf "insert %d" n
+  | M_bulk (n, c) -> Printf.sprintf "bulk %d x%d" n c
+
+let prop_index_matches_ring =
+  let open QCheck.Gen in
+  let slot = int_bound (pool_size - 1) in
+  let grow =
+    frequency [ (5, map (fun n -> M_join n) slot); (1, map (fun n -> M_insert n) slot) ]
+  in
+  let mixed =
+    frequency
+      [
+        (3, map (fun n -> M_join n) slot);
+        (4, map (fun n -> M_leave n) slot);
+        (2, map (fun n -> M_crash n) slot);
+        (2, map (fun n -> M_insert n) slot);
+        (1, map (fun (n, c) -> M_bulk (n, c)) (pair slot (int_bound 40)));
+      ]
+  in
+  let sweep =
+    let* start = slot in
+    let* width = int_range 0 300 in
+    let* crash = bool in
+    return
+      (List.init width (fun j ->
+           let n = (start + j) mod pool_size in
+           if crash then M_crash n else M_leave n))
+  in
+  let gen =
+    let* family = oneofl [ Fresh; Small; Shared_head; Shared_prefix ] in
+    let* seed = int_bound 1_000_000 in
+    let* grown = list_size (int_range 0 400) grow in
+    let* before = list_size (int_range 0 150) mixed in
+    let* swept = sweep in
+    let* after = list_size (int_range 0 150) mixed in
+    return (family, seed, List.concat [ grown; before; swept; after ])
+  in
+  let shrink_op o yield =
+    match o with
+    | M_join n -> QCheck.Shrink.int n (fun n' -> yield (M_join n'))
+    | M_leave n -> QCheck.Shrink.int n (fun n' -> yield (M_leave n'))
+    | M_crash n -> QCheck.Shrink.int n (fun n' -> yield (M_crash n'))
+    | M_insert n -> QCheck.Shrink.int n (fun n' -> yield (M_insert n'))
+    | M_bulk (n, c) ->
+      QCheck.Shrink.int n (fun n' -> yield (M_bulk (n', c)));
+      QCheck.Shrink.int c (fun c' -> yield (M_bulk (n, c')))
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun (family, seed, ops) ->
+        Printf.sprintf "family=%s seed=%d ops=[%s]" (family_name family) seed
+          (String.concat ";" (List.map print_model_op ops)))
+      ~shrink:(fun (family, seed, ops) yield ->
+        QCheck.Shrink.list ~shrink:shrink_op ops (fun ops' -> yield (family, seed, ops')))
+      gen
+  in
+  Testutil.prop ~count:60 "index matches a Ring model after every op" arb
+    (fun (family, seed, ops) ->
+      let pool = id_pool family seed in
+      let dht = Dht.create () in
+      let ring = ref Ring.empty and keys = ref Keys.empty in
+      let ids = List.map (fun vn -> vn.Dht.id) in
+      let fail step what =
+        QCheck.Test.fail_reportf "op %d (%s): %s" step
+          (print_model_op (List.nth ops step))
+          what
+      in
+      let same_vnode step what got want =
+        match (got, want) with
+        | None, None -> ()
+        | Some vn, Some (id, _) when Id.equal vn.Dht.id id -> ()
+        | _ -> fail step what
+      in
+      (* The keys a member owns: its arc's share of the stored keys. *)
+      let arc_keys id =
+        match Ring.arc_of id !ring with
+        | None -> Keys.empty
+        | Some arc -> Keys.filter (fun k -> Interval.mem k arc) !keys
+      in
+      let compare_with_model step probe_id =
+        let n = Ring.cardinal !ring in
+        if Dht.size dht <> n then fail step "size";
+        if Dht.total_keys dht <> Keys.cardinal !keys then fail step "total_keys";
+        let order = List.map fst (Ring.bindings !ring) in
+        if not (List.equal Id.equal (Dht.vnode_ids dht) order) then
+          fail step "vnode_ids order";
+        let visited = ref [] in
+        Dht.iter (fun vn -> visited := vn.Dht.id :: !visited) dht;
+        if not (List.equal Id.equal (List.rev !visited) order) then
+          fail step "iter order";
+        let probes =
+          [ probe_id; pool.((step * 37) mod pool_size); Id.zero; Id.max_id ]
+        in
+        List.iteri
+          (fun j p ->
+            (match (Dht.find dht p, Ring.find_opt p !ring) with
+            | None, None -> ()
+            | Some vn, Some () when Id.equal vn.Dht.id p -> ()
+            | _ -> fail step "find");
+            same_vnode step "owner_of" (Dht.owner_of dht p) (Ring.successor_incl p !ring);
+            same_vnode step "successor" (Dht.successor dht p) (Ring.successor p !ring);
+            same_vnode step "predecessor" (Dht.predecessor dht p)
+              (Ring.predecessor p !ring);
+            (match (Dht.arc_of dht p, Ring.arc_of p !ring) with
+            | None, None -> ()
+            | Some a, Some b
+              when Id.equal a.Interval.after b.Interval.after
+                   && Id.equal a.Interval.upto b.Interval.upto ->
+              ()
+            | _ -> fail step "arc_of");
+            let k = if j = 0 then n + 1 else (step + j) mod (n + 2) in
+            if
+              not
+                (List.equal Id.equal
+                   (ids (Dht.k_successors dht p k))
+                   (List.map fst (Ring.k_successors p k !ring)))
+            then fail step (Printf.sprintf "k_successors k=%d" k);
+            if
+              not
+                (List.equal Id.equal
+                   (ids (Dht.k_predecessors dht p k))
+                   (List.map fst (Ring.k_predecessors p k !ring)))
+            then fail step (Printf.sprintf "k_predecessors k=%d" k))
+          probes;
+        Dht.check_invariants dht
+      in
+      List.iteri
+        (fun step op ->
+          let probe_id =
+            match op with
+            | M_join n | M_leave n | M_crash n | M_insert n | M_bulk (n, _) -> pool.(n)
+          in
+          (match op with
+          | M_join n -> (
+            let id = pool.(n) in
+            match (Dht.join dht ~id ~payload:(), Ring.mem id !ring) with
+            | Ok _, false -> ring := Ring.add id () !ring
+            | Error `Occupied, true -> ()
+            | _ -> fail step "join verdict")
+          | M_leave n -> (
+            let id = pool.(n) in
+            let member = Ring.mem id !ring in
+            let last = Ring.cardinal !ring = 1 && not (Keys.is_empty !keys) in
+            match Dht.leave dht id with
+            | Ok () when member && not last -> ring := Ring.remove id !ring
+            | Error `Not_member when not member -> ()
+            | Error `Last_node when member && last -> ()
+            | _ -> fail step "leave verdict")
+          | M_crash n -> (
+            let id = pool.(n) in
+            let lost = arc_keys id in
+            match (Dht.crash dht id, Ring.mem id !ring) with
+            | Ok got, true ->
+              if not (List.equal Id.equal (Id_set.elements got) (Keys.elements lost))
+              then fail step "crashed keys";
+              ring := Ring.remove id !ring;
+              keys := Keys.diff !keys lost
+            | Error `Not_member, false -> ()
+            | _ -> fail step "crash verdict")
+          | M_insert n -> (
+            let key = pool.(n) in
+            match Dht.insert_key dht key with
+            | Ok () when (not (Ring.is_empty !ring)) && not (Keys.mem key !keys) ->
+              keys := Keys.add key !keys
+            | Error `Duplicate when Keys.mem key !keys -> ()
+            | Error `Empty_ring when Ring.is_empty !ring -> ()
+            | _ -> fail step "insert verdict")
+          | M_bulk (n, c) -> (
+            let batch = Array.init c (fun j -> pool.((n + j) mod pool_size)) in
+            let fresh = Keys.diff (Keys.of_seq (Array.to_seq batch)) !keys in
+            match Dht.insert_keys dht batch with
+            | Ok got when not (Ring.is_empty !ring) ->
+              if got <> Keys.cardinal fresh then fail step "bulk count";
+              keys := Keys.union !keys fresh
+            | Error `Empty_ring when Ring.is_empty !ring -> ()
+            | _ -> fail step "bulk verdict"));
+          compare_with_model step probe_id)
+        ops;
+      true)
+
 let test_consume_rejects_bad_pick () =
   let dht = mk_dht [ 100 ] [ 10; 20; 30 ] in
   Alcotest.check_raises "pick out of range"
@@ -247,5 +484,5 @@ let () =
             test_check_invariants_sample;
           Alcotest.test_case "fold/vnode_ids/find" `Quick test_fold_and_vnode_ids;
         ] );
-      ("properties", [ prop_random_ops ]);
+      ("properties", [ prop_random_ops; prop_index_matches_ring ]);
     ]
