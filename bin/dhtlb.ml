@@ -451,10 +451,21 @@ let simulate params strategy trials domains snapshots trace_csv trace_out
   let params = Strategy.default_params strategy params in
   validate_or_die params;
   let sink = sink_of_opt trace_out in
-  if (checkpoint <> None || resume) && trials > 1 then begin
-    prerr_endline "--checkpoint/--resume require --trials 1";
-    exit 2
-  end;
+  (* These act on one run's result; a multi-trial run would drop them. *)
+  if trials > 1 then
+    List.iter
+      (fun (given, message) ->
+        if given then begin
+          prerr_endline message;
+          exit 2
+        end)
+      [
+        (checkpoint <> None || resume, "--checkpoint/--resume require --trials 1");
+        (metrics, "--metrics requires --trials 1");
+        (snapshots <> [], "--snapshot requires --trials 1");
+        ( trace_csv <> None,
+          "--trace-csv requires --trials 1 (--trace-out csv:FILE writes one CSV per trial)" );
+      ];
   if resume && checkpoint = None then begin
     prerr_endline "--resume requires --checkpoint FILE";
     exit 2
@@ -538,7 +549,9 @@ let simulate_cmd =
       value
       & opt (list int) []
       & info [ "snapshot" ] ~docv:"TICKS"
-          ~doc:"Comma-separated ticks at which to print the distribution.")
+          ~doc:
+            "Comma-separated ticks at which to print the distribution \
+             (single-trial runs).")
   in
   let trace_csv_t =
     Arg.(
@@ -553,7 +566,7 @@ let simulate_cmd =
       & info [ "metrics" ]
           ~doc:
             "Report per-phase wall-clock timings and GC deltas (also \
-             enabled by DHTLB_METRICS=1).")
+             enabled by DHTLB_METRICS=1; single-trial runs).")
   in
   let json_t =
     Arg.(value & flag & info [ "json" ] ~doc:"Also print the result as JSON.")

@@ -2,9 +2,9 @@
 # CI entry point: full build, the whole test battery (normal and checked
 # mode), the differential-oracle smoke run (twice: plain, and with
 # metrics + a bounded trace sink to prove instrumentation does not
-# perturb the PRNG stream), and a quick bench smoke run of the
-# simulation hot path (writes BENCH_hotpath.json) gated against the
-# committed baseline.
+# perturb the PRNG stream), smokes of the CLI, and the performance
+# ledger (bench/ledger: four workloads, digest-checked) gated against
+# the committed BENCH_ledger.json.
 set -eu
 
 cd "$(dirname "$0")"
@@ -184,165 +184,48 @@ else
   echo "==> dune build @doc skipped (odoc not installed)"
 fi
 
-echo "==> bench smoke (hotpath section, quick scale)"
-# Keep the committed baseline aside before the bench overwrites it.
-baseline=""
-if [ -f BENCH_hotpath.json ]; then
-  baseline=$(mktemp)
-  cp BENCH_hotpath.json "$baseline"
-fi
-
-extract() {
-  grep '"sim_run_s"' "$1" | head -n1 | sed 's/.*: *//; s/,.*//'
-}
-
-# Regression gate: fail if the end-to-end hot-path run slowed by more
-# than 25% against the committed BENCH_hotpath.json.  Skip with
-# DHTLB_BENCH_GATE=0 (e.g. on known-slow shared machines).
-if [ "${DHTLB_BENCH_GATE:-1}" = "0" ] || [ -z "$baseline" ]; then
-  DHTLB_ONLY=hotpath dune exec bench/main.exe
-  if [ "${DHTLB_BENCH_GATE:-1}" = "0" ]; then
-    echo "==> bench gate skipped (DHTLB_BENCH_GATE=0)"
-  else
-    echo "==> bench gate skipped (no committed BENCH_hotpath.json baseline)"
-  fi
-else
-  # Best-of-3: one run's sim_run_s is noisy on shared machines
-  # (scheduler jitter, cold caches) and used to flake the gate; the
-  # minimum of three runs is a much steadier estimate of what the code
-  # can actually do, while a real regression slows all three.
-  best=""
-  for i in 1 2 3; do
-    DHTLB_ONLY=hotpath dune exec bench/main.exe
-    run=$(extract BENCH_hotpath.json)
-    if [ -z "$run" ]; then
-      echo "==> bench gate: could not read sim_run_s from run $i" >&2
-      rm -f "$baseline"
-      exit 1
-    fi
-    if [ -z "$best" ] || awk -v a="$run" -v b="$best" 'BEGIN { exit !(a < b) }'; then
-      best=$run
-    fi
-  done
-  old=$(extract "$baseline")
-  if [ -z "$old" ]; then
-    echo "==> bench gate: could not read sim_run_s from baseline" >&2
-    rm -f "$baseline"
-    exit 1
-  fi
-  if awk -v old="$old" -v new="$best" 'BEGIN { exit !(new > old * 1.25) }'; then
-    echo "==> bench gate FAILED: best-of-3 sim_run_s ${best}s vs baseline ${old}s (>25% slower)" >&2
-    rm -f "$baseline"
-    exit 1
-  fi
-  echo "==> bench gate OK: best-of-3 sim_run_s ${best}s vs baseline ${old}s"
-  rm -f "$baseline"
-fi
-
-echo "==> scale bench (20k and 100k legs, 3 seeds each; writes BENCH_scale.json)"
-# The scale section sweeps three seeds per leg, so one pass already
-# yields a stable median — no best-of-3 re-runs of a 30s section.
-# Two gates: (a) setup must stay cheaper than the strategy run it feeds
-# (sim_create_s_median < sim_run_s_median on both legs — the quick leg's
-# line is the first match, the full leg's the last); (b) the full leg's
-# median run time must not regress >25% against the committed baseline.
-scale_baseline=""
-if [ -f BENCH_scale.json ]; then
-  scale_baseline=$(mktemp)
-  cp BENCH_scale.json "$scale_baseline"
-fi
-
-scale_field() { # file field first|last
-  if [ "$3" = first ]; then
-    grep "\"$2\"" "$1" | head -n1 | sed 's/.*: *//; s/,.*//'
-  else
-    grep "\"$2\"" "$1" | tail -n1 | sed 's/.*: *//; s/,.*//'
-  fi
-}
-
-DHTLB_ONLY=scale dune exec bench/main.exe
-for leg in first last; do
-  create=$(scale_field BENCH_scale.json sim_create_s_median "$leg")
-  run=$(scale_field BENCH_scale.json sim_run_s_median "$leg")
-  if [ -z "$create" ] || [ -z "$run" ]; then
-    echo "==> scale gate: could not read medians from BENCH_scale.json" >&2
-    rm -f "$scale_baseline"
-    exit 1
-  fi
-  if awk -v c="$create" -v r="$run" 'BEGIN { exit !(c >= r) }'; then
-    echo "==> scale gate FAILED ($leg leg): sim_create_s_median ${create}s >= sim_run_s_median ${run}s" >&2
-    rm -f "$scale_baseline"
-    exit 1
-  fi
-done
-new_full=$(scale_field BENCH_scale.json sim_run_s_median last)
-if [ "${DHTLB_BENCH_GATE:-1}" = "0" ] || [ -z "$scale_baseline" ]; then
-  if [ "${DHTLB_BENCH_GATE:-1}" = "0" ]; then
-    echo "==> scale regression gate skipped (DHTLB_BENCH_GATE=0); create<run held on both legs"
-  else
-    echo "==> scale regression gate skipped (no committed BENCH_scale.json baseline); create<run held on both legs"
-  fi
-else
-  old_full=$(scale_field "$scale_baseline" sim_run_s_median last)
-  if [ -z "$old_full" ]; then
-    echo "==> scale gate: could not read sim_run_s_median from baseline" >&2
-    rm -f "$scale_baseline"
-    exit 1
-  fi
-  if awk -v old="$old_full" -v new="$new_full" 'BEGIN { exit !(new > old * 1.25) }'; then
-    echo "==> scale gate FAILED: full-leg sim_run_s_median ${new_full}s vs baseline ${old_full}s (>25% slower)" >&2
-    rm -f "$scale_baseline"
-    exit 1
-  fi
-  echo "==> scale gate OK: full-leg sim_run_s_median ${new_full}s vs baseline ${old_full}s; create<run held on both legs"
-fi
-rm -f "$scale_baseline"
-
-echo "==> stream bench (open-system leg, 3 seeds; writes BENCH_stream.json)"
-# Same shape as the scale gate: three seeds in one pass give a stable
-# median, gated at 25% against the committed baseline, plus the
-# setup-cheaper-than-run sanity check.  The leg exercises the streaming
-# path end to end: arrival draws, the birth ledger, and the windowed
-# steady-state collector are all on the clock.
-stream_baseline=""
-if [ -f BENCH_stream.json ]; then
-  stream_baseline=$(mktemp)
-  cp BENCH_stream.json "$stream_baseline"
-fi
-
-DHTLB_ONLY=stream dune exec bench/main.exe
-s_create=$(scale_field BENCH_stream.json sim_create_s_median first)
-s_run=$(scale_field BENCH_stream.json sim_run_s_median first)
-if [ -z "$s_create" ] || [ -z "$s_run" ]; then
-  echo "==> stream gate: could not read medians from BENCH_stream.json" >&2
-  rm -f "$stream_baseline"
+echo "==> bench gate (performance ledger: 4 workloads, seed 42, 3 reps, vs BENCH_ledger.json)"
+# ledger.exe run fails on any failed repetition, broken invariant or
+# golden-digest mismatch.  The gate then reads the fresh file and the
+# committed baseline, and fails on any workload missing from either.
+# Per workload: the keys_per_s median must not fall below the
+# baseline's / 1.25 (a run at most 25% slower; DHTLB_BENCH_GATE=0 skips
+# this floor on known-slow machines), and setup must stay cheaper than
+# the run it feeds: the setup_s median below sim.tasks_completed / the
+# keys_per_s median, which is the median untraced run time.
+bench_dir=$(mktemp -d)
+dune exec bench/ledger/ledger.exe -- run --out "$bench_dir/ledger.json"
+if ! awk -v floor_on="${DHTLB_BENCH_GATE:-1}" '
+  # After sub(), a field is a string: "+ 0" keeps every comparison numeric.
+  function num(s) { sub(/,$/, "", s); return s + 0 }
+  { f = FILENAME == ARGV[1] ? "base" : "new" }
+  $1 == "{" { w = "" }
+  $1 == "\"name\":" { w = $2; gsub(/[",]/, "", w); if (!(w in seen)) { seen[w] = 1; order[++n] = w } }
+  $2 == "{" { key = $1 }
+  $1 == "\"median\":" && key == "\"keys_per_s\":" { kps[f, w] = num($2) }
+  $1 == "\"median\":" && key == "\"setup_s\":" { setup[f, w] = num($2) }
+  $1 == "\"value\":" && key == "\"sim.tasks_completed\":" { tasks[f, w] = num($2) }
+  END {
+    if (n == 0) { print "    no workload in either file"; exit 1 }
+    for (i = 1; i <= n; i++) {
+      w = order[i]
+      if (!(("base", w) in kps) || !(("new", w) in kps) || !(("new", w) in setup) || !(("new", w) in tasks)) {
+        printf "    %-17s FAILED: missing from the baseline or the fresh run\n", w; bad = 1; continue
+      }
+      floor = kps["base", w] / 1.25; run = tasks["new", w] / kps["new", w]
+      slow = floor_on != "0" && kps["new", w] < floor; heavy = setup["new", w] >= run
+      printf "    %-17s %s: keys_per_s median %.0f vs floor %.0f (baseline %.0f / 1.25); setup %.3f s vs run %.3f s\n",
+        w, slow || heavy ? "FAILED" : "OK", kps["new", w], floor, kps["base", w], setup["new", w], run
+      if (slow || heavy) bad = 1
+    }
+    exit bad
+  }' BENCH_ledger.json "$bench_dir/ledger.json"; then
+  echo "==> bench gate FAILED (fresh run kept in $bench_dir)" >&2
   exit 1
 fi
-if awk -v c="$s_create" -v r="$s_run" 'BEGIN { exit !(c >= r) }'; then
-  echo "==> stream gate FAILED: sim_create_s_median ${s_create}s >= sim_run_s_median ${s_run}s" >&2
-  rm -f "$stream_baseline"
-  exit 1
+if [ "${DHTLB_BENCH_GATE:-1}" = "0" ]; then
+  echo "    throughput floor skipped (DHTLB_BENCH_GATE=0)"
 fi
-if [ "${DHTLB_BENCH_GATE:-1}" = "0" ] || [ -z "$stream_baseline" ]; then
-  if [ "${DHTLB_BENCH_GATE:-1}" = "0" ]; then
-    echo "==> stream regression gate skipped (DHTLB_BENCH_GATE=0); create<run held"
-  else
-    echo "==> stream regression gate skipped (no committed BENCH_stream.json baseline); create<run held"
-  fi
-else
-  old_run=$(scale_field "$stream_baseline" sim_run_s_median first)
-  if [ -z "$old_run" ]; then
-    echo "==> stream gate: could not read sim_run_s_median from baseline" >&2
-    rm -f "$stream_baseline"
-    exit 1
-  fi
-  if awk -v old="$old_run" -v new="$s_run" 'BEGIN { exit !(new > old * 1.25) }'; then
-    echo "==> stream gate FAILED: sim_run_s_median ${s_run}s vs baseline ${old_run}s (>25% slower)" >&2
-    rm -f "$stream_baseline"
-    exit 1
-  fi
-  echo "==> stream gate OK: sim_run_s_median ${s_run}s vs baseline ${old_run}s; create<run held"
-fi
-rm -f "$stream_baseline"
+rm -rf "$bench_dir"
 
 echo "==> ci.sh: all green"

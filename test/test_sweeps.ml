@@ -160,6 +160,13 @@ let refusals =
       ~message:"invalid --journal: /nonexistent/dir/j.jsonl: No such file or directory";
     case "DHTLB_DOMAINS=abc" ~env:"DHTLB_DOMAINS=abc " [ "head-to-head" ] ~code:2
       ~message:"DHTLB_DOMAINS must be a positive integer";
+    case "multi-trial --metrics" [ "simulate"; "--metrics" ] ~code:2
+      ~message:"--metrics requires --trials 1";
+    case "multi-trial --snapshot" [ "simulate"; "--trials"; "2"; "--snapshot"; "5" ] ~code:2
+      ~message:"--snapshot requires --trials 1";
+    case "multi-trial --trace-csv" [ "simulate"; "--trace-csv"; "trace.csv" ] ~code:2
+      ~message:
+        "--trace-csv requires --trials 1 (--trace-out csv:FILE writes one CSV per trial)";
   ]
 
 let () =
