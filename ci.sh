@@ -44,6 +44,15 @@ DHTLB_CHECK=1 DHTLB_TRACE_OUT=ring:32 dune exec bin/dhtlb.exe -- stream \
   --faults drop=0.05 \
   --arrivals burst=20:150:10:20,hot=4:0.05:1.1,horizon=120,window=20 --seed 7
 
+echo "==> duplicate-arrival smoke (hot keys repeat after diffusive transfers, invariant-checked)"
+# Two hotspots 1e-15 of the ring wide make arrivals repeat keys, and
+# diffusive transfers move tasks off their owners' arcs.  A repeat of a
+# key stored anywhere must be dropped at the door: admitting it stored
+# one task twice and crashed the run (exit 125).
+DHTLB_CHECK=1 dune exec bin/dhtlb.exe -- stream \
+  --nodes 50 --tasks 200 --strategy diffusive --seed 1 \
+  --arrivals poisson=20,hot=2:0.000000000000001:1.1,horizon=100 >/dev/null
+
 echo "==> checkpoint kill-and-resume smoke (SIGKILL mid-run, resumed result must be byte-identical)"
 # One uninterrupted reference run writes its result JSON; the same
 # configuration is then checkpointed every 200 ticks, SIGKILLed

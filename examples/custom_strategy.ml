@@ -36,14 +36,13 @@ let greedy_split_decide (state : State.t) =
                   else
                     match best with
                     | Some (b : State.payload Dht.vnode)
-                      when Id_set.cardinal b.Dht.keys
-                           >= Id_set.cardinal vn.Dht.keys ->
+                      when Dht.load b >= Dht.load vn ->
                       best
                     | _ -> Some vn)
                 None succs
             in
             match heaviest with
-            | Some vn when Id_set.cardinal vn.Dht.keys > 0 -> (
+            | Some vn when Dht.load vn > 0 -> (
               match Dht.arc_of state.State.dht vn.Dht.id with
               | Some arc ->
                 ignore (State.create_sybil state pid (Interval.midpoint arc))

@@ -1,4 +1,4 @@
-type 'a vnode = { id : Id.t; mutable keys : Id_set.t; payload : 'a }
+type 'a vnode = { id : Id.t; mutable nkeys : int; mutable packed : Bytes.t; payload : 'a }
 
 (* The ring index: every vnode in ascending id order, in a two-level
    array of fixed-capacity chunks.  Sybil injection makes joins and
@@ -56,6 +56,195 @@ let total_keys t = t.total_keys
 let prefix id =
   Int64.to_int
     (Int64.shift_right_logical (String.get_int64_be (Id.to_raw_string id) 0) 2)
+
+(* The key store: a vnode's keys live inline in its record, [nkeys] ids
+   of [kw] bytes packed back to back in ascending id order at the front
+   of [packed].  Consumption touches almost every vnode every tick, so a
+   removal is one [Bytes.blit], and a join or leave cuts or splices a
+   byte range instead of splitting or joining a tree.
+
+   Keys are ordered like ring members: by the top-62-bit prefix, with
+   the full bytes read only on a prefix tie — exactly [Id.compare].  An
+   empty store holds the shared [Bytes.empty] (a buffer that drains is
+   dropped), and spare capacity past [nkeys] is kept zero-filled, so a
+   marshaled state never carries stale or uninitialized bytes. *)
+let kw = Id.bytes_len
+
+(* A buffer view of an id, as key 0 of a one-key store. *)
+let key_bytes id = Bytes.unsafe_of_string (Id.to_raw_string id)
+
+let key_of b i = Id.of_raw_string (Bytes.sub_string b (i * kw) kw)
+
+let key_prefix b i =
+  Int64.to_int (Int64.shift_right_logical (Bytes.get_int64_be b (i * kw)) 2)
+
+(* Order of key [i] of [a] against key [j] of [b], whose prefix is [pb]. *)
+let compare_keys a i pb b j =
+  let pa = key_prefix a i in
+  if pa <> pb then Int.compare pa pb
+  else begin
+    let oa = i * kw and ob = j * kw in
+    let rec from k =
+      if k = kw then 0
+      else
+        let c = Char.compare (Bytes.get a (oa + k)) (Bytes.get b (ob + k)) in
+        if c <> 0 then c else from (k + 1)
+    in
+    from 0
+  end
+
+(* The first rank in [0, n) of [a] whose key is above key [j] of [b]
+   ([~strict:true]) or at least it ([~strict:false]); [n] if none. *)
+let bound a n ~strict b j =
+  let pb = key_prefix b j in
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let c = compare_keys a mid pb b j in
+    if c < 0 || (strict && c = 0) then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* Make room for [bytes] bytes, doubling so single inserts stay
+   amortized O(1); the new spare is zero-filled. *)
+let reserve vn bytes =
+  let b = vn.packed in
+  if Bytes.length b < bytes then begin
+    let grown = Bytes.make (max bytes (2 * Bytes.length b)) '\000' in
+    Bytes.blit b 0 grown 0 (vn.nkeys * kw);
+    vn.packed <- grown
+  end
+
+(* Keep the first [n] keys; the vacated bytes are zeroed, and an emptied
+   store drops its buffer. *)
+let truncate vn n =
+  if n = 0 then vn.packed <- Bytes.empty
+  else Bytes.fill vn.packed (n * kw) ((vn.nkeys - n) * kw) '\000';
+  vn.nkeys <- n
+
+let remove_rank vn i =
+  let n = vn.nkeys - 1 in
+  let b = vn.packed in
+  Bytes.blit b ((i + 1) * kw) b (i * kw) ((n - i) * kw);
+  truncate vn n
+
+(* Store [key] unless present; [true] iff it was added.  A search plus a
+   shift. *)
+let add_key vn key =
+  let n = vn.nkeys and kb = key_bytes key in
+  let r = bound vn.packed n ~strict:false kb 0 in
+  if r < n && compare_keys vn.packed r (prefix key) kb 0 = 0 then false
+  else begin
+    reserve vn ((n + 1) * kw);
+    let b = vn.packed in
+    Bytes.blit b (r * kw) b ((r + 1) * kw) ((n - r) * kw);
+    Bytes.blit kb 0 b (r * kw) kw;
+    vn.nkeys <- n + 1;
+    true
+  end
+
+(* Set union of the [m] ascending keys of [src] into [dst]; returns how
+   many were new.  [dst] takes ownership of [src].  When no key of [dst]
+   falls between [src]'s first and last, the block is spliced in whole
+   at that one position — the usual case, since a leaver's arc precedes
+   its successor's; otherwise the two merge and duplicates collapse. *)
+let absorb dst m src =
+  let n = dst.nkeys in
+  if m = 0 then 0
+  else if n = 0 then begin
+    dst.packed <- src;
+    dst.nkeys <- m;
+    m
+  end
+  else begin
+    let b = dst.packed in
+    let p = bound b n ~strict:false src 0 in
+    if p = bound b n ~strict:true src (m - 1) then begin
+      reserve dst ((n + m) * kw);
+      let b = dst.packed in
+      Bytes.blit b (p * kw) b ((p + m) * kw) ((n - p) * kw);
+      Bytes.blit src 0 b (p * kw) (m * kw);
+      dst.nkeys <- n + m;
+      m
+    end
+    else begin
+      let out = Bytes.make ((n + m) * kw) '\000' in
+      let i = ref 0 and j = ref 0 and k = ref 0 in
+      while !i < n || !j < m do
+        let c =
+          if !i = n then 1
+          else if !j = m then -1
+          else compare_keys b !i (key_prefix src !j) src !j
+        in
+        if c <= 0 then begin
+          Bytes.blit b (!i * kw) out (!k * kw) kw;
+          incr i;
+          if c = 0 then incr j
+        end
+        else begin
+          Bytes.blit src (!j * kw) out (!k * kw) kw;
+          incr j
+        end;
+        incr k
+      done;
+      dst.packed <- out;
+      dst.nkeys <- !k;
+      !k - n
+    end
+  end
+
+(* Cut the keys of [vn] inside the arc [(after, upto]] out into a fresh
+   exact-size buffer and compact [vn]'s in place.  Keys are in linear id
+   order, so a wrapping arc is two pieces: the head up to [upto], then
+   the tail above [after]. *)
+let take_arc vn ~after ~upto =
+  let n = vn.nkeys and b = vn.packed in
+  let above id = bound b n ~strict:true (key_bytes id) 0 in
+  (* [lo, hi) is the range that leaves when the arc does not wrap, and
+     the range that stays when it does. *)
+  let wraps = Id.compare after upto > 0 in
+  let lo, hi =
+    if Id.equal after upto then (0, n) (* the full ring *)
+    else if wraps then (above upto, above after)
+    else (above after, above upto)
+  in
+  let taken = if wraps then n - (hi - lo) else hi - lo in
+  if taken = 0 then Bytes.empty
+  else begin
+    let out = Bytes.create (taken * kw) in
+    if wraps then begin
+      Bytes.blit b 0 out 0 (lo * kw);
+      Bytes.blit b (hi * kw) out (lo * kw) ((n - hi) * kw);
+      Bytes.blit b (lo * kw) b 0 ((hi - lo) * kw)
+    end
+    else begin
+      Bytes.blit b (lo * kw) out 0 (taken * kw);
+      Bytes.blit b (hi * kw) b (lo * kw) ((n - hi) * kw)
+    end;
+    truncate vn (n - taken);
+    out
+  end
+
+let load vn = vn.nkeys
+
+let key_at vn i =
+  if i < 0 || i >= vn.nkeys then invalid_arg "Dht.key_at: rank out of range";
+  key_of vn.packed i
+
+let iter_keys f vn =
+  for i = 0 to vn.nkeys - 1 do
+    f (key_at vn i)
+  done
+
+(* A crashed vnode's keys, detached from any vnode. *)
+type keys = { count : int; bytes : Bytes.t }
+
+let keys_count k = k.count
+
+let keys_iter f k =
+  for i = 0 to k.count - 1 do
+    f (key_of k.bytes i)
+  done
 
 (* A position is [chunk lsl chunk_bits lor slot]; [nchunks lsl
    chunk_bits] is one past the last slot. *)
@@ -246,20 +435,16 @@ let join t ~id ~payload =
   if holds t pos px id then Error `Occupied
   else begin
     t.messages.joins <- t.messages.joins + 1;
-    let keys =
-      if t.size = 0 then Id_set.empty (* first vnode: nothing to take over *)
-      else begin
-        (* The newcomer's arc is (pred(id), id]; carve it out of the keys
-           currently held by the successor. *)
-        let succ = vnode_at t (wrap t pos) in
-        let arc = Interval.make ~after:(vnode_at t (prev t pos)).id ~upto:id in
-        let inside, outside = Id_set.split_arc arc succ.keys in
-        succ.keys <- outside;
-        t.messages.key_transfers <- t.messages.key_transfers + Id_set.cardinal inside;
-        inside
-      end
+    (* The newcomer's arc is (pred(id), id]; it cuts those keys out of
+       its successor's store.  The first vnode has nothing to take. *)
+    let packed =
+      if t.size = 0 then Bytes.empty
+      else
+        take_arc (vnode_at t (wrap t pos)) ~after:(vnode_at t (prev t pos)).id ~upto:id
     in
-    let vn = { id; keys; payload } in
+    let nkeys = Bytes.length packed / kw in
+    t.messages.key_transfers <- t.messages.key_transfers + nkeys;
+    let vn = { id; nkeys; packed; payload } in
     insert_at t pos px vn;
     Ok vn
   end
@@ -270,7 +455,7 @@ let leave t id =
   else begin
     let vn = vnode_at t pos in
     if t.size = 1 then
-      if Id_set.is_empty vn.keys then begin
+      if vn.nkeys = 0 then begin
         t.messages.leaves <- t.messages.leaves + 1;
         remove_at t pos;
         Ok ()
@@ -280,14 +465,15 @@ let leave t id =
       t.messages.leaves <- t.messages.leaves + 1;
       let succ = vnode_at t (next t pos) in
       remove_at t pos;
-      let moved = Id_set.cardinal vn.keys in
+      let moved = vn.nkeys in
       if moved > 0 then begin
-        succ.keys <- Id_set.union succ.keys vn.keys;
+        ignore (absorb succ moved vn.packed);
         t.messages.key_transfers <- t.messages.key_transfers + moved
       end;
       (* The record is out of the ring; empty it so a caller still
          holding it cannot read phantom workload. *)
-      vn.keys <- Id_set.empty;
+      vn.nkeys <- 0;
+      vn.packed <- Bytes.empty;
       Ok ()
     end
   end
@@ -304,9 +490,10 @@ let crash t id =
     let vn = vnode_at t pos in
     t.messages.leaves <- t.messages.leaves + 1;
     remove_at t pos;
-    let keys = vn.keys in
-    vn.keys <- Id_set.empty;
-    t.total_keys <- t.total_keys - Id_set.cardinal keys;
+    let keys = { count = vn.nkeys; bytes = vn.packed } in
+    vn.nkeys <- 0;
+    vn.packed <- Bytes.empty;
+    t.total_keys <- t.total_keys - keys.count;
     Ok keys
   end
 
@@ -316,14 +503,15 @@ let owner_of t key =
 (* Recovery after a crash: re-insert a crashed vnode's keys at their
    current owner — the first surviving vnode clockwise of [near] (the
    crashed id), which owns the whole vacated arc.  Bills one transfer
-   per key (the fetch from a replica holder). *)
+   per key (the fetch from a replica holder).  The owner gets a copy, so
+   the crashed key set stays readable. *)
 let restore t ~near keys =
-  let moved = Id_set.cardinal keys in
+  let moved = keys.count in
   if moved > 0 then begin
     match owner_of t near with
     | None -> invalid_arg "Dht.restore: empty ring"
     | Some vn ->
-      vn.keys <- Id_set.union vn.keys keys;
+      ignore (absorb vn moved (Bytes.sub keys.bytes 0 (moved * kw)));
       t.total_keys <- t.total_keys + moved;
       t.messages.key_transfers <- t.messages.key_transfers + moved
   end;
@@ -333,17 +521,17 @@ let insert_key t key =
   match owner_of t key with
   | None -> Error `Empty_ring
   | Some vn ->
-    if Id_set.mem key vn.keys then Error `Duplicate
-    else begin
-      vn.keys <- Id_set.add key vn.keys;
+    if add_key vn key then begin
       t.total_keys <- t.total_keys + 1;
       Ok ()
     end
+    else Error `Duplicate
 
 (* Bulk load: sort the batch once, then hand every vnode its arc's slice
-   as an [of_sorted_array] set instead of one owner lookup and one AVL
-   insert per key.  Duplicates (within the batch or against stored keys)
-   are dropped, exactly as repeated [insert_key] calls would drop them. *)
+   packed straight from the sorted batch instead of one owner lookup and
+   one insert per key.  Duplicates (within the batch or against stored
+   keys) are dropped, exactly as repeated [insert_key] calls would drop
+   them. *)
 let insert_keys t keys =
   if t.size = 0 then Error `Empty_ring
   else begin
@@ -375,32 +563,31 @@ let insert_keys t keys =
       !lo
     in
     let inserted = ref 0 in
-    let give vn slice_set =
-      if not (Id_set.is_empty slice_set) then begin
-        let before = Id_set.cardinal vn.keys in
-        vn.keys <- Id_set.union vn.keys slice_set;
-        inserted := !inserted + Id_set.cardinal vn.keys - before
+    (* Give [vn] the batch's slice [lo, hi). *)
+    let give vn lo hi =
+      if hi > lo then begin
+        let b = Bytes.create ((hi - lo) * kw) in
+        for i = lo to hi - 1 do
+          Bytes.blit_string (Id.to_raw_string distinct.(i)) 0 b ((i - lo) * kw) kw
+        done;
+        inserted := !inserted + absorb vn (hi - lo) b
       end
-    in
-    let slice lo hi =
-      (* [lo, hi): already sorted and distinct. *)
-      if hi <= lo then Id_set.empty
-      else Id_set.of_sorted_array (Array.sub distinct lo (hi - lo))
     in
     let first = t.chunks.(0).vns.(0) in
     if t.size = 1 then
       (* A lone vnode owns the whole ring. *)
-      give first (slice 0 n)
+      give first 0 n
     else begin
-      (* Wrap arc (last, first]: the tail beyond the last vnode plus
-         the head up to and including the first. *)
+      (* Wrap arc (last, first]: the head up to and including the first
+         vnode, then the tail beyond the last. *)
       let last = vnode_at t (prev t 0) in
-      give first (Id_set.union (slice (first_gt last.id) n) (slice 0 (first_gt first.id)));
+      give first 0 (first_gt first.id);
+      give first (first_gt last.id) n;
       let prev_id = ref first.id in
       iter
         (fun vn ->
           if vn != first then begin
-            give vn (slice (first_gt !prev_id) (first_gt vn.id));
+            give vn (first_gt !prev_id) (first_gt vn.id);
             prev_id := vn.id
           end)
         t
@@ -409,25 +596,48 @@ let insert_keys t keys =
     Ok !inserted
   end
 
+(* Draw [k] ranks with shrinking bounds — [pick c], [pick (c-1)], ... —
+   removing the key at each drawn rank as it goes, exactly the
+   nth/remove loop the oracle replays; [taken] sees each key's buffer
+   and rank just before it goes. *)
+let draw_ranks ~pick ~what vn k taken =
+  let c = vn.nkeys in
+  for j = 0 to k - 1 do
+    let bound = c - j in
+    let i = pick bound in
+    if i < 0 || i >= bound then invalid_arg what;
+    taken vn.packed i;
+    remove_rank vn i
+  done
+
+let no_key_needed _ _ = ()
+
+(* The taken keys themselves, in ascending id order. *)
+let draw_keys ~pick ~what vn k =
+  let acc = ref [] in
+  draw_ranks ~pick ~what vn k (fun b i -> acc := key_of b i :: !acc);
+  List.sort Id.compare !acc
+
 (* Consumption takes the vnode record itself: the engine holds each
    machine's records and consumes every tick, where a lookup by id per
    call was the single hottest operation at 100k nodes. *)
-let consume_vnode_keys ~pick t vn n =
-  let c = Id_set.cardinal vn.keys in
-  if n <= 0 || c = 0 then []
+let consume_vnode ~pick t vn n =
+  let k = min n vn.nkeys in
+  if k <= 0 then 0
   else begin
-    let rand bound =
-      let i = pick bound in
-      if i < 0 || i >= bound then invalid_arg "Dht.consume_vnode_keys: pick out of range";
-      i
-    in
-    let taken, rest = Id_set.take_random_n ~rand vn.keys n in
-    vn.keys <- rest;
-    t.total_keys <- t.total_keys - List.length taken;
-    taken
+    draw_ranks ~pick ~what:"Dht.consume_vnode_keys: pick out of range" vn k no_key_needed;
+    t.total_keys <- t.total_keys - k;
+    k
   end
 
-let consume_vnode ~pick t vn n = List.length (consume_vnode_keys ~pick t vn n)
+let consume_vnode_keys ~pick t vn n =
+  let k = min n vn.nkeys in
+  if k <= 0 then []
+  else begin
+    let taken = draw_keys ~pick ~what:"Dht.consume_vnode_keys: pick out of range" vn k in
+    t.total_keys <- t.total_keys - k;
+    taken
+  end
 
 (* Diffusive work transfer: up to [n] randomly-picked tasks move from
    [src] to [dst] without any ownership change, so the moved keys live
@@ -436,35 +646,24 @@ let consume_vnode ~pick t vn n = List.length (consume_vnode_keys ~pick t vn n)
    same [pick] discipline as consumption (one bounded draw per taken
    key, bounds c, c-1, ...) so the oracle can replay them naively. *)
 let transfer_keys ~pick t ~src ~dst n =
-  let c = Id_set.cardinal src.keys in
-  if n <= 0 || c = 0 || src == dst then 0
+  let k = min n src.nkeys in
+  if k <= 0 || src == dst then 0
   else begin
-    let rand bound =
-      let i = pick bound in
-      if i < 0 || i >= bound then invalid_arg "Dht.transfer_keys: pick out of range";
-      i
-    in
-    let taken, rest = Id_set.take_random_n ~rand src.keys n in
-    src.keys <- rest;
-    (* A picked key that [dst] already holds (possible only if a
-       duplicate arrival slipped past the owner after an earlier
-       transfer) stays with [src]: silently collapsing it in a set
-       union would destroy a task and break conservation. *)
+    let taken = draw_keys ~pick ~what:"Dht.transfer_keys: pick out of range" src k in
+    (* A picked key that [dst] already holds stays with [src]: silently
+       collapsing it in a set union would destroy a task and break
+       conservation.  Arrivals refuse a key stored anywhere, so this
+       guards the primitive rather than a path the engine takes. *)
     let moved = ref 0 in
     List.iter
-      (fun key ->
-        if Id_set.mem key dst.keys then src.keys <- Id_set.add key src.keys
-        else begin
-          dst.keys <- Id_set.add key dst.keys;
-          incr moved
-        end)
+      (fun key -> if add_key dst key then incr moved else ignore (add_key src key))
       taken;
     t.messages.work_transfers <- t.messages.work_transfers + !moved;
     !moved
   end
 
 let workload t id =
-  match find t id with None -> 0 | Some vn -> Id_set.cardinal vn.keys
+  match find t id with None -> 0 | Some vn -> vn.nkeys
 
 let arc_of t id =
   let pos = locate t id in
@@ -520,7 +719,7 @@ let check_invariants t =
   done;
   if !slots <> t.size then
     invalid_arg (Printf.sprintf "Dht: size=%d but the index holds %d slots" t.size !slots);
-  let counted = fold (fun vn acc -> acc + Id_set.cardinal vn.keys) t 0 in
+  let counted = fold (fun vn acc -> acc + vn.nkeys) t 0 in
   if counted <> t.total_keys then
     invalid_arg
       (Printf.sprintf "Dht: total_keys=%d but counted=%d" t.total_keys counted);
@@ -529,6 +728,19 @@ let check_invariants t =
       (match find t vn.id with
       | Some vn' when vn' == vn -> ()
       | Some _ | None -> invalid_arg (Format.asprintf "Dht: search misses %a" Id.pp vn.id));
+      (* The key store's laws: the buffer holds the count, keys strictly
+         ascend, the spare is zero-filled, and an empty store keeps no
+         buffer. *)
+      let b = vn.packed and n = vn.nkeys in
+      let bad what = invalid_arg (Format.asprintf "Dht: vnode %a %s" Id.pp vn.id what) in
+      if n < 0 || Bytes.length b < n * kw then bad "holds more keys than its buffer";
+      if n = 0 && Bytes.length b > 0 then bad "keeps a buffer with no keys";
+      for i = 1 to n - 1 do
+        if compare_keys b (i - 1) (key_prefix b i) b i >= 0 then bad "stores keys out of order"
+      done;
+      for o = n * kw to Bytes.length b - 1 do
+        if Bytes.get b o <> '\000' then bad "has a non-zero spare byte"
+      done;
       match arc_of t vn.id with
       | None -> invalid_arg "Dht: vnode without arc"
       | Some arc ->
@@ -536,11 +748,11 @@ let check_invariants t =
            arc by design, so arc membership is only a law while no
            transfer has happened. *)
         if t.messages.work_transfers = 0 then
-          Id_set.iter
+          iter_keys
             (fun key ->
               if not (Interval.mem key arc) then
                 invalid_arg
                   (Format.asprintf "Dht: key %a outside arc %a of vnode %a" Id.pp
                      key Interval.pp arc Id.pp vn.id))
-            vn.keys)
+            vn)
     t

@@ -23,9 +23,16 @@
 
 type 'a vnode = private {
   id : Id.t;
-  mutable keys : Id_set.t;  (** keys (tasks) currently owned *)
+  mutable nkeys : int;  (** keys (tasks) currently held; read it as {!load} *)
+  mutable packed : Bytes.t;
+      (** the keys, [nkeys] 20-byte ids packed back to back in ascending
+          id order, spare capacity zero-filled; read them through
+          {!key_at} and {!iter_keys} *)
   payload : 'a;
 }
+(** A vnode's task keys live inline in its record, so a consume is one
+    rank draw and one [Bytes.blit], and a join or leave cuts or splices
+    a byte range.  An empty vnode holds no buffer. *)
 
 type 'a t
 
@@ -51,7 +58,14 @@ val leave : 'a t -> Id.t -> (unit, [ `Not_member | `Last_node ]) result
     the last vnode while it still holds keys ([`Last_node]): the paper's
     networks never drain completely because joins and leaves balance. *)
 
-val crash : 'a t -> Id.t -> (Id_set.t, [ `Not_member ]) result
+type keys
+(** The keys a crashed vnode held, detached from the ring. *)
+
+val keys_count : keys -> int
+val keys_iter : (Id.t -> unit) -> keys -> unit
+(** Visits the keys in ascending id order. *)
+
+val crash : 'a t -> Id.t -> (keys, [ `Not_member ]) result
 (** Ungraceful removal: the vnode vanishes with {e no} key handover and
     its keys leave the store ([total_keys] drops by their count).  The
     keys are returned so the caller can either {!restore} them from
@@ -60,24 +74,30 @@ val crash : 'a t -> Id.t -> (Id_set.t, [ `Not_member ]) result
     empty the ring.  Charges one leave (the departure is still observed
     by the ring). *)
 
-val restore : 'a t -> near:Id.t -> Id_set.t -> int
+val restore : 'a t -> near:Id.t -> keys -> int
 (** [restore t ~near keys] re-inserts a crashed vnode's keys at their
     current owner: the first surviving vnode clockwise of [near] (the
     crashed vnode's id), which owns the whole vacated arc.  Returns the
     number of keys moved and charges each as a [key_transfers] fetch
-    from the replica holder.  No-op on an empty key set.
+    from the replica holder.  No-op on an empty key set; [keys] itself
+    stays readable.
     @raise Invalid_argument if keys are given and the ring is empty. *)
 
 val insert_key : 'a t -> Id.t -> (unit, [ `Empty_ring | `Duplicate ]) result
-(** Store a key on its owner (the first vnode clockwise of the key). *)
+(** Store a key on its owner (the first vnode clockwise of the key): a
+    search plus a shift.  [`Duplicate] means the owner already holds it;
+    a copy that {!transfer_keys} moved to another vnode is not seen, so
+    a caller that admits keys after transfers must check liveness
+    itself. *)
 
 val insert_keys : 'a t -> Id.t array -> (int, [ `Empty_ring ]) result
 (** Bulk [insert_key]: stores every key of the batch on its owner and
     returns the number actually inserted.  Duplicate keys — within the
     batch or already stored — are dropped, as repeated [insert_key]
-    calls would drop them.  One sort plus an [of_sorted_array] slice per
-    vnode arc: O(b log b + n log b) for a batch of [b] keys over [n]
-    vnodes, rather than [b] owner lookups and AVL inserts. *)
+    calls would drop them.  One sort, then each vnode arc's slice of the
+    sorted batch is packed straight into its store: O(b log b + n log b)
+    for a batch of [b] keys over [n] vnodes, rather than [b] owner
+    lookups and inserts. *)
 
 val owner_of : 'a t -> Id.t -> 'a vnode option
 (** The vnode responsible for a key. *)
@@ -90,9 +110,9 @@ val consume_vnode : pick:(int -> int) -> 'a t -> 'a vnode -> int -> int
     load-bearing: Sybil arc placement reasons about how keys are spread
     within arcs, so simulations must pass a uniform pick (a silent
     always-leftmost default would skew the remaining-key distribution).
-    The whole budget is removed in one tree pass
-    ({!Id_set.take_random_n}), drawing [pick c], [pick (c-1)], ... so
-    the random stream matches the per-key loop it replaced.
+    It draws [pick c], [pick (c-1)], ... and removes the key at each
+    drawn rank from the shrinking store as it goes, one [Bytes.blit]
+    each — exactly a per-key nth/remove loop — and allocates nothing.
 
     [vn] is a record the caller already holds ({!find} gives one by id)
     and must be a current ring member (the engine keeps each machine's
@@ -103,7 +123,7 @@ val consume_vnode : pick:(int -> int) -> 'a t -> 'a vnode -> int -> int
 
 val consume_vnode_keys : pick:(int -> int) -> 'a t -> 'a vnode -> int -> Id.t list
 (** {!consume_vnode}, but returns the completed keys themselves (in
-    extraction order) instead of just their count — the open-system
+    ascending id order) instead of just their count — the open-system
     engine needs the identities to settle each task's sojourn ledger
     entry.  Same draws, same removals; [consume_vnode] is this with
     [List.length]. *)
@@ -125,6 +145,17 @@ val transfer_keys :
 val workload : 'a t -> Id.t -> int
 (** Tasks currently owned by a vnode; [0] if not a member.  One
     {!find}. *)
+
+val load : 'a vnode -> int
+(** Tasks the vnode record holds; O(1). *)
+
+val key_at : 'a vnode -> int -> Id.t
+(** [key_at vn i] is the vnode's [i]-th smallest key (0-based).
+    @raise Invalid_argument if [i] is not below {!load}. *)
+
+val iter_keys : (Id.t -> unit) -> 'a vnode -> unit
+(** Visits the vnode's keys in ascending id order.  [f] must not change
+    this vnode's keys. *)
 
 (** The navigation below means exactly what the same names mean on
     {!Ring}: clockwise is increasing id, wrapping past [2^160 - 1]. *)
@@ -162,6 +193,8 @@ val check_invariants : 'a t -> unit
     cached last prefix equal to its last slot's, every slot's prefix the
     prefix of its vnode's id, ids strictly ascending across chunk
     boundaries, [size] equal to the number of slots, every member found
-    by a search — then that key counts are consistent and — while no
+    by a search — then the key stores' laws (keys strictly ascending,
+    the buffer large enough, its spare zero-filled, no buffer on an
+    empty vnode), that key counts are consistent and — while no
     work transfer has happened ([work_transfers = 0]) — every key owned
     by the correct vnode.  O(n·keys); for tests and [DHTLB_CHECK]. *)

@@ -80,13 +80,13 @@ let decide (state : State.t) =
               pick_lighter
                 (List.map
                    (fun (vn : State.payload Dht.vnode) ->
-                     (vn, Id_set.cardinal vn.Dht.keys))
+                     (vn, Dht.load vn))
                    heard)
             in
             match lighter with
             | None -> ()
             | Some (dst, neighbor) ->
-              let own = Id_set.cardinal self.Dht.keys in
+              let own = Dht.load self in
               let n = transfer_amount ~own ~neighbor in
               if n > 0 then
                 ignore (State.transfer_work state ~src:self ~dst n)

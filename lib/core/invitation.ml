@@ -28,16 +28,16 @@ let heaviest_vnode (p : State.phys) =
   pick_heaviest_vnode
     (List.map
        (fun (vn : State.payload Dht.vnode) ->
-         (vn.Dht.id, Id_set.cardinal vn.Dht.keys))
+         (vn.Dht.id, Dht.load vn))
        p.State.vnodes)
 
 let split_point (state : State.t) inviter_id arc =
   if state.State.params.Params.split_at_median then
     match Dht.find state.State.dht inviter_id with
-    | Some vn when Id_set.cardinal vn.Dht.keys > 1 ->
+    | Some vn when Dht.load vn > 1 ->
       (* The Sybil takes the arc up to the median key, i.e. half the
          inviter's actual tasks rather than half its address space. *)
-      Id_set.nth vn.Dht.keys ((Id_set.cardinal vn.Dht.keys / 2) - 1)
+      Dht.key_at vn ((Dht.load vn / 2) - 1)
     | _ -> Interval.midpoint arc
   else Interval.midpoint arc
 

@@ -81,7 +81,7 @@ let query_round state candidates =
       `Answered
         (pick_heaviest
            ~load:(fun (_, (vn : State.payload Dht.vnode)) ->
-             Id_set.cardinal vn.Dht.keys)
+             Dht.load vn)
            candidates)
     else `Timed_out
 

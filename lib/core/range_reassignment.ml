@@ -96,7 +96,7 @@ let decide (state : State.t) =
               | None -> assert false (* the machine's own record *)
               | Some heavy ->
                 let split =
-                  Id_set.nth heavy.Dht.keys (split_rank ~count:heavy_count)
+                  Dht.key_at heavy (split_rank ~count:heavy_count)
                 in
                 (* A split landing on an occupied id (the helper itself
                    sits there, or another vnode does) refuses the move:

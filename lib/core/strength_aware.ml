@@ -40,7 +40,7 @@ let worth_stealing ~own ~candidate = candidate > 2.0 *. (own +. 1.0)
 let drain_time_of (state : State.t) (vn : State.payload Dht.vnode) =
   let owner = vn.Dht.payload.State.owner in
   drain_time
-    ~workload:(Id_set.cardinal vn.Dht.keys)
+    ~workload:(Dht.load vn)
     ~strength:state.State.phys.(owner).State.strength
 
 (* The arcs visible from [self_id]'s successor list, excluding arcs the

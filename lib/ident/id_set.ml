@@ -20,7 +20,3 @@ let split_arc (arc : Interval.t) t =
     let outside = if at_after then add after mid_low else mid_low in
     (union low high, outside)
   end
-
-let count_arc arc t =
-  let inside, _ = split_arc arc t in
-  cardinal inside

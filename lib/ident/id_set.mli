@@ -1,8 +1,8 @@
 (** Sets of ring identifiers with ring-aware range operations.
 
-    Extends {!Ordset} over {!Id} with arc extraction: when a node joins a
-    Chord ring it takes over the keys in the arc between its predecessor
-    and itself, which is a wrap-aware split of its successor's key set. *)
+    Extends {!Ordset} over {!Id} with arc extraction: a wrap-aware split
+    of a set at the clockwise arc [(after, upto]], the same cut a Chord
+    join makes in its successor's keys. *)
 
 include module type of Ordset.Make (Id)
 
@@ -10,6 +10,3 @@ val split_arc : Interval.t -> t -> t * t
 (** [split_arc arc t] is [(inside, outside)] where [inside] holds exactly
     the elements of [t] lying in the clockwise arc.  O(log n) up to
     rebalancing.  The full-ring arc returns everything inside. *)
-
-val count_arc : Interval.t -> t -> int
-(** Number of elements in the arc, without building the split. *)

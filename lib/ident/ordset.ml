@@ -170,21 +170,6 @@ module Make (Ord : ORDERED) = struct
       else if i = cl then v
       else nth r (i - cl - 1)
 
-  (* O(n) balanced construction from a strictly increasing array. *)
-  let of_sorted_array a =
-    let len = Array.length a in
-    for i = 1 to len - 1 do
-      if Ord.compare a.(i - 1) a.(i) >= 0 then
-        invalid_arg "Ordset.of_sorted_array: not strictly increasing"
-    done;
-    let rec build lo hi =
-      if lo >= hi then Empty
-      else
-        let mid = (lo + hi) / 2 in
-        mk (build lo mid) a.(mid) (build (mid + 1) hi)
-    in
-    build 0 len
-
   let rec extract_rank t i =
     match t with
     | Empty -> invalid_arg "Ordset.extract_rank: rank out of bounds"

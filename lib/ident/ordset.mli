@@ -1,10 +1,12 @@
 (** Size-augmented balanced search trees.
 
-    A drop-in replacement for [Stdlib.Set] specialized for the simulator's
-    needs: [cardinal] is O(1) and [split]/[union] are O(log n)-ish, which
-    matters because every DHT join splits a task set and every leave merges
-    one, and workload queries ([cardinal]) happen on every tick for every
-    node. *)
+    A persistent [Stdlib.Set] with O(1) [cardinal], O(log n) rank access
+    ([nth]) and rank extraction, and [split]/[union] O(log n)-ish.  The
+    DHT's per-vnode task store no longer uses it ({!Dht} packs each
+    vnode's keys into one byte buffer); it backs {!Id_set}, which
+    MapReduce's reduce sets and [Keygen.fresh_distinct] use.
+    [take_random_n] is the reference for the store's draw contract:
+    ranks drawn with shrinking bounds over the keys in order. *)
 
 module type ORDERED = sig
   type t
@@ -43,10 +45,6 @@ module Make (Ord : ORDERED) : sig
   val nth : t -> int -> elt
   (** [nth t i] is the [i]-th smallest element (0-based); O(log n).
       @raise Invalid_argument if [i] is out of bounds. *)
-
-  val of_sorted_array : elt array -> t
-  (** O(n) perfectly balanced construction.
-      @raise Invalid_argument unless the array is strictly increasing. *)
 
   val extract_rank : t -> int -> elt * t
   (** [extract_rank t i] removes and returns the [i]-th smallest element

@@ -344,8 +344,8 @@ let note_sojourn o key =
   in
   o.sojourn_hist <- bump o.sojourn_hist
 
-(* Same draw discipline as Id_set.take_random_n: one [int_below] per
-   taken key, bounds c, c-1, ..., each indexing the shrinking set.  In
+(* Same draw discipline as Dht.consume_vnode: one [int_below] per taken
+   key, bounds c, c-1, ..., each indexing the shrinking key list.  In
    open-system runs each removed key's identity settles its sojourn —
    identical draws either way. *)
 let consume o id budget =
@@ -1097,12 +1097,14 @@ let apply_arrivals o =
       end
       else begin
         (* A lookup is charged even for duplicates (the node had to
-           route there to find out) — mirrors State.apply_arrivals. *)
+           route there to find out) — mirrors State.apply_arrivals.  A
+           key live anywhere is a duplicate, also one a transfer moved
+           off its owner's arc. *)
         charge_lookup o;
         match owner_of o key with
         | None -> assert false
         | Some vn ->
-          if not (mem_key key vn.keys) then begin
+          if not (List.mem_assoc key o.birth || mem_key key vn.keys) then begin
             vn.keys <- insert_sorted key vn.keys;
             o.arrived_total <- o.arrived_total + 1;
             incr accepted;

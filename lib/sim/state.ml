@@ -253,7 +253,7 @@ let create (params : Params.t) =
             hs := vns.((i + j) mod count).Dht.id :: !hs
           done;
           m.Messages.replications <-
-            m.Messages.replications + (want * Id_set.cardinal vn.Dht.keys);
+            m.Messages.replications + (want * Dht.load vn);
           Hashtbl.replace r.holders vn.Dht.id !hs;
           List.iter (fun h -> backs_add r h vn.Dht.id) !hs)
         vns;
@@ -279,14 +279,12 @@ let create (params : Params.t) =
   in
   (* Open system only: every stored key carries a birth tick so its
      sojourn can be settled at completion.  The initial batch is born at
-     tick 0; [insert_keys] already dropped duplicates, so enrolling the
-     stored keys from the ring (not the raw draw array) records exactly
-     the live population. *)
+     tick 0.  The ring starts empty, so [insert_keys] dropped only
+     in-batch duplicates, and [replace] collapses those the same way:
+     enrolling the drawn array records exactly the stored population
+     without reading a key back out of the ring. *)
   let birth = Hashtbl.create (if arrivals_on then 4096 else 1) in
-  if arrivals_on then
-    Dht.iter
-      (fun vn -> Id_set.iter (fun k -> Hashtbl.replace birth k 0) vn.Dht.keys)
-      dht;
+  if arrivals_on then Array.iter (fun k -> Hashtbl.replace birth k 0) keys;
   {
     params;
     dht;
@@ -322,7 +320,7 @@ let workload_of_phys t pid =
   let rec go acc = function
     | [] -> acc
     | (vn : payload Dht.vnode) :: rest ->
-      go (acc + Id_set.cardinal vn.Dht.keys) rest
+      go (acc + Dht.load vn) rest
   in
   go 0 t.phys.(pid).vnodes
 
@@ -731,11 +729,11 @@ let crash_machines t pids =
       in
       if survives then ignore (Dht.restore t.dht ~near:id keys)
       else begin
-        m.Messages.tasks_lost <- m.Messages.tasks_lost + Id_set.cardinal keys;
+        m.Messages.tasks_lost <- m.Messages.tasks_lost + Dht.keys_count keys;
         (* Lost tasks never complete: close their ledger entries so the
            birth table keeps tracking exactly the live population. *)
         if Arrivals.enabled t.params.Params.arrivals then
-          Id_set.iter (fun k -> Hashtbl.remove t.birth k) keys
+          Dht.keys_iter (fun k -> Hashtbl.remove t.birth k) keys
       end)
     removed;
   List.iter (fun (id, _) -> drop_holder_entry r id) removed;
@@ -806,15 +804,19 @@ let apply_arrivals t =
         (* Routing the task to its owner costs a lookup — charged even
            when the key turns out to be a duplicate (the node had to
            route there to discover that, like create_sybil's refused
-           midpoint). *)
+           midpoint).  A key live anywhere is a duplicate: after a
+           diffusive transfer it may sit off its owner's arc, where the
+           owner's own check cannot see it, and the birth table tracks
+           exactly the live keys. *)
         charge_lookup t;
-        match Dht.insert_key t.dht key with
-        | Ok () ->
-          t.arrived_total <- t.arrived_total + 1;
-          incr accepted;
-          Hashtbl.replace t.birth key t.tick
-        | Error `Duplicate -> () (* dropped at the door; never entered *)
-        | Error `Empty_ring -> assert false
+        if not (Hashtbl.mem t.birth key) then
+          match Dht.insert_key t.dht key with
+          | Ok () ->
+            t.arrived_total <- t.arrived_total + 1;
+            incr accepted;
+            Hashtbl.replace t.birth key t.tick
+          | Error `Duplicate -> () (* dropped at the door; never entered *)
+          | Error `Empty_ring -> assert false
       end
     done;
     !accepted
@@ -1086,7 +1088,7 @@ let repair_replicas t =
                   end
                   else begin
                     m.Messages.replications <-
-                      m.Messages.replications + Id_set.cardinal vn.Dht.keys;
+                      m.Messages.replications + Dht.load vn;
                     Some hid
                   end)
                 desired
@@ -1206,11 +1208,11 @@ let check_tick_invariants t =
            (Hashtbl.length t.birth) remaining);
     Dht.iter
       (fun vn ->
-        Id_set.iter
+        Dht.iter_keys
           (fun k ->
             if not (Hashtbl.mem t.birth k) then
               invalid_arg "State: stored task with no birth record")
-          vn.Dht.keys)
+          vn)
       t.dht;
     let settled = Hashtbl.fold (fun _ c acc -> acc + c) t.sojourn_hist 0 in
     if settled <> t.work_done_total then
@@ -1448,7 +1450,7 @@ module For_testing = struct
             List.iter
               (fun _ ->
                 m.Messages.replications <-
-                  m.Messages.replications + Id_set.cardinal vn.Dht.keys)
+                  m.Messages.replications + Dht.load vn)
               desired;
             set_holders r vn.Dht.id
               (List.map (fun s -> s.Dht.id) desired))
@@ -1465,10 +1467,7 @@ module For_testing = struct
     let arrivals_on = Arrivals.enabled params.Params.arrivals in
     let birth = Hashtbl.create (if arrivals_on then 64 else 1) in
     if arrivals_on then
-      Dht.iter
-        (fun vn ->
-          Id_set.iter (fun k -> Hashtbl.replace birth k 0) vn.Dht.keys)
-        dht;
+      Dht.iter (Dht.iter_keys (fun k -> Hashtbl.replace birth k 0)) dht;
     {
       params;
       dht;

@@ -233,7 +233,7 @@ let test_refuses_garbage () =
 let test_refuses_future_version () =
   with_temp_file ".ckpt" @@ fun path ->
   let oc = open_out_bin path in
-  output_string oc "DHTLB-CKPT v3\ngit_rev x\nparams_digest 0\ntick 0\n";
+  output_string oc "DHTLB-CKPT v4\ngit_rev x\nparams_digest 0\ntick 0\n";
   close_out oc;
   check_refused "version" ~substring:"unsupported checkpoint version"
     (Checkpoint.load ~path small_params)
@@ -271,7 +271,7 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
-(* A v1 file: the v2 header minus its body_sha1 line, over a body of the
+(* A v1 file: the current header minus its body_sha1 line, over a body of the
    old layout.  Its params digest matches, so only the version refuses
    it — reading that body as the current layout would be undefined. *)
 let test_refuses_v1 () =

@@ -33,7 +33,7 @@ let test_join_takes_range () =
   Alcotest.(check int) "owner 100" 1 (Dht.workload dht (i 100));
   (* join at 150: takes (100, 150] = {120, 150} from 200 *)
   (match Dht.join dht ~id:(i 150) ~payload:150 with
-  | Ok vn -> Alcotest.(check int) "acquired" 2 (Id_set.cardinal vn.Dht.keys)
+  | Ok vn -> Alcotest.(check int) "acquired" 2 (Dht.load vn)
   | Error `Occupied -> Alcotest.fail "join");
   Alcotest.(check int) "200 keeps" 1 (Dht.workload dht (i 200));
   Dht.check_invariants dht
@@ -176,10 +176,12 @@ let prop_random_ops =
 
 (* Members and keys are drawn from a pool of ids of one family.  Small
    ids all share prefix 0 and the two shared-head families tie on the
-   top 62 bits, so every comparison in those rings takes the full-id
-   path.  The pool is sorted, so a run of pool slots is a run of ring
-   neighbours: a few hundred joins split chunks, and a sweep of leaves
-   and crashes over consecutive slots empties them again. *)
+   top 62 bits, so every comparison in those rings and in the packed key
+   stores takes the full-id path.  Keys and member ids share the pool,
+   so keys landing exactly on an arc's ends are common.  The pool is
+   sorted, so a run of pool slots is a run of ring neighbours: a few
+   hundred joins split chunks, and a sweep of leaves and crashes over
+   consecutive slots empties them again. *)
 type family = Fresh | Small | Shared_head | Shared_prefix
 
 let family_name = function
@@ -224,6 +226,7 @@ type model_op =
   | M_crash of int
   | M_insert of int
   | M_bulk of int * int
+  | M_consume of int * int * int  (** slot, budget, pick seed *)
 
 let print_model_op = function
   | M_join n -> Printf.sprintf "join %d" n
@@ -231,6 +234,7 @@ let print_model_op = function
   | M_crash n -> Printf.sprintf "crash %d" n
   | M_insert n -> Printf.sprintf "insert %d" n
   | M_bulk (n, c) -> Printf.sprintf "bulk %d x%d" n c
+  | M_consume (n, c, seed) -> Printf.sprintf "consume %d x%d seed=%d" n c seed
 
 let prop_index_matches_ring =
   let open QCheck.Gen in
@@ -246,6 +250,10 @@ let prop_index_matches_ring =
         (2, map (fun n -> M_crash n) slot);
         (2, map (fun n -> M_insert n) slot);
         (1, map (fun (n, c) -> M_bulk (n, c)) (pair slot (int_bound 40)));
+        ( 2,
+          map
+            (fun (n, c, seed) -> M_consume (n, c, seed))
+            (triple slot (int_bound 6) (int_bound 1_000_000)) );
       ]
   in
   let sweep =
@@ -275,6 +283,9 @@ let prop_index_matches_ring =
     | M_bulk (n, c) ->
       QCheck.Shrink.int n (fun n' -> yield (M_bulk (n', c)));
       QCheck.Shrink.int c (fun c' -> yield (M_bulk (n, c')))
+    | M_consume (n, c, seed) ->
+      QCheck.Shrink.int n (fun n' -> yield (M_consume (n', c, seed)));
+      QCheck.Shrink.int c (fun c' -> yield (M_consume (n, c', seed)))
   in
   let arb =
     QCheck.make
@@ -308,6 +319,11 @@ let prop_index_matches_ring =
         | None -> Keys.empty
         | Some arc -> Keys.filter (fun k -> Interval.mem k arc) !keys
       in
+      let stored vn =
+        let acc = ref [] in
+        Dht.iter_keys (fun k -> acc := k :: !acc) vn;
+        List.rev !acc
+      in
       let compare_with_model step probe_id =
         let n = Ring.cardinal !ring in
         if Dht.size dht <> n then fail step "size";
@@ -329,6 +345,13 @@ let prop_index_matches_ring =
             | Some vn, Some () when Id.equal vn.Dht.id p -> ()
             | _ -> fail step "find");
             same_vnode step "owner_of" (Dht.owner_of dht p) (Ring.successor_incl p !ring);
+            (* The owner's whole key store, in order, against its arc. *)
+            Option.iter
+              (fun vn ->
+                let want = Keys.elements (arc_keys vn.Dht.id) in
+                if Dht.load vn <> List.length want then fail step "load";
+                if not (List.equal Id.equal (stored vn) want) then fail step "stored keys")
+              (Dht.owner_of dht p);
             same_vnode step "successor" (Dht.successor dht p) (Ring.successor p !ring);
             same_vnode step "predecessor" (Dht.predecessor dht p)
               (Ring.predecessor p !ring);
@@ -359,7 +382,9 @@ let prop_index_matches_ring =
         (fun step op ->
           let probe_id =
             match op with
-            | M_join n | M_leave n | M_crash n | M_insert n | M_bulk (n, _) -> pool.(n)
+            | M_join n | M_leave n | M_crash n | M_insert n | M_bulk (n, _)
+            | M_consume (n, _, _) ->
+              pool.(n)
           in
           (match op with
           | M_join n -> (
@@ -382,7 +407,11 @@ let prop_index_matches_ring =
             let lost = arc_keys id in
             match (Dht.crash dht id, Ring.mem id !ring) with
             | Ok got, true ->
-              if not (List.equal Id.equal (Id_set.elements got) (Keys.elements lost))
+              let listed = ref [] in
+              Dht.keys_iter (fun k -> listed := k :: !listed) got;
+              if
+                Dht.keys_count got <> Keys.cardinal lost
+                || not (List.equal Id.equal (List.rev !listed) (Keys.elements lost))
               then fail step "crashed keys";
               ring := Ring.remove id !ring;
               keys := Keys.diff !keys lost
@@ -404,7 +433,31 @@ let prop_index_matches_ring =
               if got <> Keys.cardinal fresh then fail step "bulk count";
               keys := Keys.union !keys fresh
             | Error `Empty_ring when Ring.is_empty !ring -> ()
-            | _ -> fail step "bulk verdict"));
+            | _ -> fail step "bulk verdict")
+          | M_consume (n, budget, seed) -> (
+            (* The model draws the same ranks from the owner's arc keys in
+               id order and removes each as it goes. *)
+            match (Dht.owner_of dht pool.(n), Ring.successor_incl pool.(n) !ring) with
+            | None, None -> ()
+            | Some vn, Some (id, ()) when Id.equal vn.Dht.id id ->
+              let pick = Prng.int_below (Prng.create seed) in
+              let model_pick = Prng.int_below (Prng.create seed) in
+              let rest = ref (Keys.elements (arc_keys id)) and gone = ref [] in
+              for _ = 1 to min budget (List.length !rest) do
+                let r = model_pick (List.length !rest) in
+                gone := List.nth !rest r :: !gone;
+                rest := List.filteri (fun j _ -> j <> r) !rest
+              done;
+              let gone = List.sort Id.compare !gone in
+              (* Odd seeds take the keys, even ones only count them. *)
+              if seed land 1 = 1 then begin
+                if not (List.equal Id.equal (Dht.consume_vnode_keys ~pick dht vn budget) gone)
+                then fail step "consumed keys"
+              end
+              else if Dht.consume_vnode ~pick dht vn budget <> List.length gone then
+                fail step "consumed count";
+              keys := Keys.diff !keys (Keys.of_list gone)
+            | _ -> fail step "consume owner"));
           compare_with_model step probe_id)
         ops;
       true)
@@ -456,6 +509,132 @@ let test_insert_keys_edge_rings () =
   | Ok n -> Alcotest.(check int) "empty batch" 0 n
   | Error `Empty_ring -> Alcotest.fail "ring not empty"
 
+(* ---- the packed key store ----------------------------------------- *)
+
+let keys_of vn =
+  let acc = ref [] in
+  Dht.iter_keys (fun k -> acc := k :: !acc) vn;
+  List.rev !acc
+
+let id_list = Alcotest.(list (testable Id.pp Id.equal))
+
+(* Ids that tie on the top 62 bits, so every comparison between two of
+   them reads the full bytes: [low] sets bits 62-63, [tail] the last
+   byte. *)
+let tied ~low ~tail =
+  let b = Bytes.make Id.bytes_len '\000' in
+  Bytes.blit_string "\x80\x11\x22\x33\x44\x55\x66" 0 b 0 7;
+  Bytes.set b 7 (Char.chr (0xa4 lor low));
+  Bytes.set b (Id.bytes_len - 1) (Char.chr tail);
+  Id.of_raw_string (Bytes.to_string b)
+
+let test_key_at_order () =
+  let keys =
+    [
+      tied ~low:3 ~tail:0; tied ~low:0 ~tail:9; tied ~low:0 ~tail:2;
+      tied ~low:2 ~tail:5; tied ~low:1 ~tail:7;
+    ]
+  in
+  let dht = mk_dht [ 100 ] [] in
+  List.iter (fun k -> ignore (Dht.insert_key dht k)) keys;
+  let vn = Option.get (Dht.find dht (i 100)) in
+  let want = List.sort Id.compare keys in
+  Alcotest.(check int) "load" 5 (Dht.load vn);
+  Alcotest.check id_list "iter_keys ascends" want (keys_of vn);
+  Alcotest.check id_list "key_at ranks" want (List.init (Dht.load vn) (Dht.key_at vn));
+  Alcotest.check_raises "rank = load"
+    (Invalid_argument "Dht.key_at: rank out of range") (fun () -> ignore (Dht.key_at vn 5));
+  Alcotest.check_raises "negative rank"
+    (Invalid_argument "Dht.key_at: rank out of range") (fun () -> ignore (Dht.key_at vn (-1)));
+  Dht.check_invariants dht
+
+(* An empty store keeps no buffer, a removal zeroes the bytes it
+   vacates, and a departed record reads as empty. *)
+let test_store_buffers () =
+  let dht = mk_dht [ 100; 200 ] [ 10; 20; 30; 150 ] in
+  (match Dht.join dht ~id:(i 120) ~payload:120 with
+  | Ok vn -> Alcotest.(check bool) "empty joiner holds no buffer" true (vn.Dht.packed == Bytes.empty)
+  | Error `Occupied -> Alcotest.fail "join");
+  let vn100 = Option.get (Dht.find dht (i 100)) in
+  ignore (Dht.consume_vnode ~pick:(fun _ -> 1) dht vn100 1);
+  Alcotest.check id_list "middle rank removed" [ i 10; i 30 ] (keys_of vn100);
+  let b = vn100.Dht.packed in
+  for o = 2 * Id.bytes_len to Bytes.length b - 1 do
+    if Bytes.get b o <> '\000' then Alcotest.failf "spare byte %d not zeroed" o
+  done;
+  Alcotest.(check int) "drained" 2 (Dht.consume_vnode ~pick:leftmost dht vn100 5);
+  Alcotest.(check bool) "drained store drops its buffer" true (vn100.Dht.packed == Bytes.empty);
+  let vn200 = Option.get (Dht.find dht (i 200)) in
+  (match Dht.leave dht (i 200) with Ok () -> () | Error _ -> Alcotest.fail "leave");
+  Alcotest.(check int) "departed load" 0 (Dht.load vn200);
+  Alcotest.(check bool) "departed record holds no buffer" true (vn200.Dht.packed == Bytes.empty);
+  Alcotest.(check int) "consuming a departed record" 0
+    (Dht.consume_vnode ~pick:leftmost dht vn200 3);
+  Alcotest.check id_list "successor inherits" [ i 150 ] (keys_of vn100);
+  Dht.check_invariants dht
+
+(* A crash detaches the keys; a restore hands them to the surviving
+   owner, merging when a later arrival landed among them, and leaves the
+   crashed set readable. *)
+let test_crash_restore () =
+  let dht = mk_dht [ 100; 200; 300 ] [ 120; 150; 180; 250 ] in
+  let crashed =
+    match Dht.crash dht (i 200) with Ok k -> k | Error `Not_member -> Alcotest.fail "crash"
+  in
+  let listed k =
+    let acc = ref [] in
+    Dht.keys_iter (fun x -> acc := x :: !acc) k;
+    List.rev !acc
+  in
+  Alcotest.(check int) "crashed count" 3 (Dht.keys_count crashed);
+  Alcotest.check id_list "crashed keys ascend" [ i 120; i 150; i 180 ] (listed crashed);
+  Alcotest.(check int) "total drops" 1 (Dht.total_keys dht);
+  (match Dht.insert_key dht (i 160) with Ok () -> () | Error _ -> Alcotest.fail "insert");
+  let transfers = (Dht.messages dht).Messages.key_transfers in
+  Alcotest.(check int) "restored" 3 (Dht.restore dht ~near:(i 200) crashed);
+  Alcotest.(check int) "one transfer per key" (transfers + 3)
+    (Dht.messages dht).Messages.key_transfers;
+  let vn300 = Option.get (Dht.find dht (i 300)) in
+  Alcotest.check id_list "merged into the owner"
+    [ i 120; i 150; i 160; i 180; i 250 ]
+    (keys_of vn300);
+  Alcotest.check id_list "crashed set still readable" [ i 120; i 150; i 180 ] (listed crashed);
+  Alcotest.(check int) "total" 5 (Dht.total_keys dht);
+  Dht.check_invariants dht;
+  (match Dht.crash dht (i 100) with
+  | Ok none -> Alcotest.(check int) "empty restore" 0 (Dht.restore dht ~near:(i 100) none)
+  | Error `Not_member -> Alcotest.fail "crash");
+  let lone = mk_dht [ 100 ] [ 5 ] in
+  let last =
+    match Dht.crash lone (i 100) with Ok k -> k | Error `Not_member -> Alcotest.fail "crash"
+  in
+  Alcotest.check_raises "restore into an empty ring"
+    (Invalid_argument "Dht.restore: empty ring") (fun () ->
+      ignore (Dht.restore lone ~near:(i 100) last))
+
+(* A work transfer keeps ownership, bills each moved key, and never
+   collapses a picked key that the receiver already holds. *)
+let test_transfer_keys () =
+  let dht = mk_dht [ 100; 200 ] [ 10; 20; 30; 150 ] in
+  let src = Option.get (Dht.find dht (i 100)) and dst = Option.get (Dht.find dht (i 200)) in
+  let no_draw _ = Alcotest.fail "pick must not be consulted" in
+  Alcotest.(check int) "n = 0" 0 (Dht.transfer_keys ~pick:no_draw dht ~src ~dst 0);
+  Alcotest.(check int) "src = dst" 0 (Dht.transfer_keys ~pick:no_draw dht ~src ~dst:src 2);
+  Alcotest.(check int) "moved" 2 (Dht.transfer_keys ~pick:leftmost dht ~src ~dst 2);
+  Alcotest.check id_list "src keeps the rest" [ i 30 ] (keys_of src);
+  Alcotest.check id_list "dst ascends" [ i 10; i 20; i 150 ] (keys_of dst);
+  Alcotest.(check int) "billed" 2 (Dht.messages dht).Messages.work_transfers;
+  Alcotest.(check int) "conserved" 4 (Dht.total_keys dht);
+  Dht.check_invariants dht;
+  (* The owner no longer holds 10, so a second copy is accepted there. *)
+  (match Dht.insert_key dht (i 10) with Ok () -> () | Error _ -> Alcotest.fail "insert");
+  Alcotest.(check int) "held copy stays" 0 (Dht.transfer_keys ~pick:leftmost dht ~src ~dst 1);
+  Alcotest.check id_list "src unchanged" [ i 10; i 30 ] (keys_of src);
+  Alcotest.(check int) "not billed" 2 (Dht.messages dht).Messages.work_transfers;
+  Alcotest.check_raises "pick out of range"
+    (Invalid_argument "Dht.transfer_keys: pick out of range") (fun () ->
+      ignore (Dht.transfer_keys ~pick:(fun c -> c) dht ~src ~dst 1))
+
 let test_check_invariants_sample () =
   let dht, _ = Testutil.sample_dht ~nodes:200 ~keys:2000 () in
   Dht.check_invariants dht;
@@ -483,6 +662,10 @@ let () =
           Alcotest.test_case "bulk fixture invariants" `Quick
             test_check_invariants_sample;
           Alcotest.test_case "fold/vnode_ids/find" `Quick test_fold_and_vnode_ids;
+          Alcotest.test_case "key_at order" `Quick test_key_at_order;
+          Alcotest.test_case "store buffers" `Quick test_store_buffers;
+          Alcotest.test_case "crash/restore" `Quick test_crash_restore;
+          Alcotest.test_case "transfer_keys" `Quick test_transfer_keys;
         ] );
       ("properties", [ prop_random_ops; prop_index_matches_ring ]);
     ]

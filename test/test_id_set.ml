@@ -32,11 +32,6 @@ let test_boundaries () =
   Alcotest.(check (list int)) "inside" [ 20 ] (to_ints inside);
   Alcotest.(check (list int)) "outside" [ 10 ] (to_ints outside)
 
-let test_count_arc () =
-  let s = set_of [ 1; 5; 10; 15; 20 ] in
-  Alcotest.(check int) "count" 2
-    (Id_set.count_arc (Interval.make ~after:(i 5) ~upto:(i 15)) s)
-
 let arb_id_list = QCheck.small_list Testutil.arb_small_id
 
 let prop_partition =
@@ -53,15 +48,6 @@ let prop_partition =
       && List.for_all (fun x -> not (Interval.mem x arc)) (Id_set.elements outside)
       && List.for_all (fun x -> Id_set.mem x s)
            (Id_set.elements inside @ Id_set.elements outside))
-
-let prop_count_consistent =
-  Testutil.prop ~count:500 "count_arc = cardinal of inside"
-    (QCheck.triple arb_id_list Testutil.arb_small_id Testutil.arb_small_id)
-    (fun (ids, a, b) ->
-      let s = Id_set.of_list ids in
-      let arc = Interval.make ~after:a ~upto:b in
-      let inside, _ = Id_set.split_arc arc s in
-      Id_set.count_arc arc s = Id_set.cardinal inside)
 
 let prop_complement =
   Testutil.prop ~count:500 "inside of arc = outside of complement"
@@ -85,7 +71,6 @@ let () =
           Alcotest.test_case "wrap" `Quick test_split_wrap;
           Alcotest.test_case "full ring" `Quick test_split_full_ring;
           Alcotest.test_case "boundaries" `Quick test_boundaries;
-          Alcotest.test_case "count_arc" `Quick test_count_arc;
         ] );
-      ("properties", [ prop_partition; prop_count_consistent; prop_complement ]);
+      ("properties", [ prop_partition; prop_complement ]);
     ]

@@ -912,6 +912,16 @@ let transfer_scenarios =
           } } );
     ( "transfer-clustered-overload",
       { fault_base with clustered = true; sybil_threshold = 2; churn = 0.08 } );
+    (* Two hotspots 1e-15 of the ring wide: arrivals repeat keys, and a
+       repeat of a key a transfer moved off its owner's arc is still a
+       duplicate. *)
+    ( "transfer-duplicate-arrival",
+      { fault_base with
+        arrivals =
+          { Arrivals.profile = Some (Arrivals.Poisson { rate = 20.0 });
+            keys = Arrivals.Hot { hotspots = 2; spread = 1e-15; zipf_s = 1.1 };
+            horizon = 60;
+            window = 10 } } );
   ]
 
 let test_oracle_faulted (label, s) () =

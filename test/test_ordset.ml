@@ -99,15 +99,6 @@ let prop_nth =
         (List.init (List.length elems) Fun.id)
         elems)
 
-let prop_of_sorted_array =
-  Testutil.prop ~count:300 "of_sorted_array = of_list"
-    QCheck.(small_list (int_bound 1000))
-    (fun xs ->
-      let sorted = Array.of_list (M.elements (M.of_list xs)) in
-      let s = S.of_sorted_array sorted in
-      S.check_invariants s;
-      S.elements s = Array.to_list sorted)
-
 let prop_extract_rank =
   Testutil.prop ~count:300 "extract_rank = (nth, remove nth)"
     QCheck.(pair (small_list (int_bound 500)) small_nat)
@@ -177,14 +168,6 @@ let test_extract_ranks_rejects () =
     (Invalid_argument "Ordset.extract_ranks: negative rank") (fun () ->
       ignore (S.extract_ranks s [ -1 ]))
 
-let test_of_sorted_array_rejects () =
-  Alcotest.check_raises "duplicate"
-    (Invalid_argument "Ordset.of_sorted_array: not strictly increasing")
-    (fun () -> ignore (S.of_sorted_array [| 1; 1; 2 |]));
-  Alcotest.check_raises "descending"
-    (Invalid_argument "Ordset.of_sorted_array: not strictly increasing")
-    (fun () -> ignore (S.of_sorted_array [| 2; 1 |]))
-
 let test_take_random_n_edges () =
   let s = S.of_list [ 1; 2; 3 ] in
   let no_rand _ = Alcotest.fail "rand must not be consulted" in
@@ -252,8 +235,6 @@ let () =
           Alcotest.test_case "nth bounds" `Quick test_nth_bounds;
           Alcotest.test_case "10k sequential inserts" `Quick test_large_sequential;
           Alcotest.test_case "extract_ranks rejects" `Quick test_extract_ranks_rejects;
-          Alcotest.test_case "of_sorted_array rejects" `Quick
-            test_of_sorted_array_rejects;
           Alcotest.test_case "take_random_n edges" `Quick test_take_random_n_edges;
         ] );
       ( "properties",
@@ -262,7 +243,6 @@ let () =
           prop_split;
           prop_union;
           prop_nth;
-          prop_of_sorted_array;
           prop_extract_rank;
           prop_extract_ranks;
           prop_take_random_n_matches_loop;

@@ -306,11 +306,9 @@ let burst_loss_case ~nodes ~tasks ~replicas ~count ~seed =
     Array.of_list (List.rev (Dht.fold (fun vn acc -> vn.Dht.id :: acc) state.State.dht []))
   in
   let keys =
-    Array.of_list
-      (List.concat
-         (Dht.fold
-            (fun vn acc -> Id_set.elements vn.Dht.keys :: acc)
-            state.State.dht []))
+    let acc = ref [] in
+    Dht.iter (Dht.iter_keys (fun k -> acc := k :: !acc)) state.State.dht;
+    Array.of_list (List.rev !acc)
   in
   let victims = replay_victims ~seed ~nodes ~count in
   let victim_ids =
