@@ -311,7 +311,7 @@ let checkpoint_t =
 let checkpoint_every_t =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive_int) None
     & info [ "checkpoint-every" ] ~docv:"TICKS"
         ~doc:
           "With --checkpoint, also snapshot every $(docv) ticks, so a \
@@ -400,14 +400,6 @@ let maybe_out out json =
     Printf.eprintf "wrote %s\n%!" file
   | None -> ()
 
-(* The checkpoint hook for a run, plus the resume-or-fresh split.  A
-   missing checkpoint file degrades to a fresh run (so wrappers can
-   always pass --resume without racing the first checkpoint); anything
-   else Checkpoint.load refuses is fatal. *)
-let checkpoint_hook params = function
-  | None -> None
-  | Some path -> Some (fun p -> Checkpoint.save ~path params p)
-
 let load_checkpoint_or_die ~path params =
   match Checkpoint.load ~path params with
   | Ok (p, hdr) ->
@@ -421,6 +413,50 @@ let load_checkpoint_or_die ~path params =
   | Error e ->
     prerr_endline e;
     exit 2
+
+(* The one single-run path, shared by [simulate --trials 1] and [stream].
+   Applied to the checkpoint flags, it refuses --resume or
+   --checkpoint-every without --checkpoint (exit 2, one line on stderr).
+   Applied to a run, it installs the interrupt handlers, then resumes
+   from the checkpoint file, starts fresh when that file is missing (so
+   wrappers can always pass --resume without racing the first
+   checkpoint), or runs fresh.  Anything else [Checkpoint.load] refuses
+   is fatal, and an interrupt exits after its final checkpoint. *)
+let single_run ~checkpoint ~checkpoint_every ~resume =
+  if checkpoint = None then
+    List.iter
+      (fun (given, flag) ->
+        if given then begin
+          prerr_endline (flag ^ " requires --checkpoint FILE");
+          exit 2
+        end)
+      [
+        (resume, "--resume");
+        (checkpoint_every <> None, "--checkpoint-every");
+      ];
+  fun ?sink ?metrics ?snapshot_at ?timeout params strategy ->
+    install_interrupt_handlers ();
+    let hook =
+      Option.map (fun path p -> Checkpoint.save ~path params p) checkpoint
+    in
+    let strat = Strategy.make strategy () in
+    let fresh () =
+      Engine.run ?sink ?metrics ?snapshot_at ?checkpoint_every ?checkpoint:hook
+        ?timeout params strat
+    in
+    match
+      match checkpoint with
+      | Some path when resume && Sys.file_exists path ->
+        Engine.resume ?sink ?metrics ?checkpoint_every ?checkpoint:hook ?timeout
+          (load_checkpoint_or_die ~path params)
+          strat
+      | Some path when resume ->
+        Format.eprintf "checkpoint %s not found; starting fresh@." path;
+        fresh ()
+      | _ -> fresh ()
+    with
+    | r -> r
+    | exception Engine.Interrupted tick -> handle_interrupted ~checkpoint tick
 
 let maybe_csv path contents =
   match path with
@@ -466,34 +502,13 @@ let simulate params strategy trials domains snapshots trace_csv trace_out
         ( trace_csv <> None,
           "--trace-csv requires --trials 1 (--trace-out csv:FILE writes one CSV per trial)" );
       ];
-  if resume && checkpoint = None then begin
-    prerr_endline "--resume requires --checkpoint FILE";
-    exit 2
-  end;
+  let run = single_run ~checkpoint ~checkpoint_every ~resume in
   Format.printf "parameters: %a@." Params.pp params;
   if trials = 1 then begin
-    install_interrupt_handlers ();
-    let hook = checkpoint_hook params checkpoint in
     let metrics = if metrics then Some true else None in
-    let strat = Strategy.make strategy () in
-    let run_fresh () =
-      Engine.run ?sink ?metrics ~snapshot_at:snapshots ?checkpoint_every
-        ?checkpoint:hook ?timeout:trial_timeout params strat
-    in
     let r =
-      match
-        match checkpoint with
-        | Some path when resume && Sys.file_exists path ->
-          let p = load_checkpoint_or_die ~path params in
-          Engine.resume ?sink ?metrics ?checkpoint_every ?checkpoint:hook
-            ?timeout:trial_timeout p strat
-        | Some path when resume ->
-          Format.eprintf "checkpoint %s not found; starting fresh@." path;
-          run_fresh ()
-        | _ -> run_fresh ()
-      with
-      | r -> r
-      | exception Engine.Interrupted tick -> handle_interrupted ~checkpoint tick
+      run ?sink ?metrics ~snapshot_at:snapshots ?timeout:trial_timeout params
+        strategy
     in
     (match r.Engine.outcome with
     | Engine.Finished t ->
@@ -619,32 +634,10 @@ let stream params strategy trace_out csv json out checkpoint checkpoint_every
   in
   let params = Strategy.default_params strategy params in
   validate_or_die params;
-  if resume && checkpoint = None then begin
-    prerr_endline "--resume requires --checkpoint FILE";
-    exit 2
-  end;
+  let run = single_run ~checkpoint ~checkpoint_every ~resume in
   let sink = sink_of_opt trace_out in
   Format.printf "parameters: %a@." Params.pp params;
-  install_interrupt_handlers ();
-  let hook = checkpoint_hook params checkpoint in
-  let strat = Strategy.make strategy () in
-  let run_fresh () =
-    Engine.run ?sink ?checkpoint_every ?checkpoint:hook params strat
-  in
-  let r =
-    match
-      match checkpoint with
-      | Some path when resume && Sys.file_exists path ->
-        let p = load_checkpoint_or_die ~path params in
-        Engine.resume ?sink ?checkpoint_every ?checkpoint:hook p strat
-      | Some path when resume ->
-        Format.eprintf "checkpoint %s not found; starting fresh@." path;
-        run_fresh ()
-      | _ -> run_fresh ()
-    with
-    | r -> r
-    | exception Engine.Interrupted tick -> handle_interrupted ~checkpoint tick
-  in
+  let r = run ?sink params strategy in
   (match r.Engine.outcome with
   | Engine.Finished t -> Format.printf "horizon reached: %d ticks@." t
   | Engine.Aborted t -> Format.printf "ABORTED at safety cap %d ticks@." t

@@ -49,48 +49,26 @@ let decide (state : State.t) =
       if
         p.State.active && State.can_decide state p.State.pid
         && Decision.due state p
-      then begin
-        let pid = p.State.pid in
+      then
         match p.State.vnodes with
         | [] -> ()
-        | self :: _ -> begin
-          let candidates = neighbor_candidates state pid self.Dht.id in
-          match candidates with
-          | [] -> ()
-          | _ ->
-            (* One workload query per neighbor, sent in parallel; one
-               reply-outcome draw per neighbor in candidate order.  A
-               straggler's late reply still lands before the next
-               decision period ([`Delayed] counts as heard); a dropped
-               one leaves that neighbor invisible this round. *)
-            messages.Messages.workload_queries <-
-              messages.Messages.workload_queries + List.length candidates;
-            let heard =
-              List.filter
-                (fun (vn : State.payload Dht.vnode) ->
-                  match
-                    State.reply_outcome state
-                      ~from_pid:vn.Dht.payload.State.owner
-                  with
-                  | `Ok | `Delayed -> true
-                  | `Dropped -> false)
-                candidates
-            in
-            let lighter =
-              pick_lighter
-                (List.map
-                   (fun (vn : State.payload Dht.vnode) ->
-                     (vn, Dht.load vn))
-                   heard)
-            in
-            match lighter with
-            | None -> ()
-            | Some (dst, neighbor) ->
-              let own = Dht.load self in
-              let n = transfer_amount ~own ~neighbor in
-              if n > 0 then
-                ignore (State.transfer_work state ~src:self ~dst n)
-        end
-      end)
+        | self :: _ -> (
+          let candidates = neighbor_candidates state p.State.pid self.Dht.id in
+          (* One workload query per neighbor, sent in parallel.  A
+             straggler's late reply still lands before the next decision
+             period; a dropped one leaves that neighbor invisible this
+             round. *)
+          messages.Messages.workload_queries <-
+            messages.Messages.workload_queries + List.length candidates;
+          match
+            pick_lighter
+              (List.map
+                 (fun (vn : State.payload Dht.vnode) -> (vn, Dht.load vn))
+                 (State.heard state ~late_ok:true Fun.id candidates))
+          with
+          | None -> ()
+          | Some (dst, neighbor) ->
+            let n = transfer_amount ~own:(Dht.load self) ~neighbor in
+            if n > 0 then ignore (State.transfer_work state ~src:self ~dst n)))
 
 let strategy () = { Engine.name = "diffusive"; decide }

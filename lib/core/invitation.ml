@@ -41,10 +41,40 @@ let split_point (state : State.t) inviter_id arc =
     | _ -> Interval.midpoint arc
   else Interval.midpoint arc
 
+(* One announcement round from machine [pid] about its vnode [id]: the
+   invitation reaches the [num_successors] ring neighbors [neighbors]
+   walks from [id], all charged as [invitations].  Under a fault plan a
+   round-trip can be lost (one outcome draw per neighbor, nearest first
+   — mirrored by the oracle): a dropped neighbor never replies, so it is
+   neither charged a workload query nor considered as a helper.  A
+   straggler's late reply still lands before the next decision period,
+   so it counts.  If every round-trip drops, the still-overloaded
+   machine simply re-announces at its next decision. *)
+let announce (state : State.t) pid ~neighbors ~qualifies id =
+  let params = state.State.params in
+  let messages = Dht.messages state.State.dht in
+  let k = params.Params.num_successors in
+  let others =
+    List.filter
+      (fun (vn : State.payload Dht.vnode) -> vn.Dht.payload.State.owner <> pid)
+      (neighbors state.State.dht id k)
+  in
+  messages.Messages.invitations <- messages.Messages.invitations + k;
+  let heard = State.heard state ~late_ok:true Fun.id others in
+  messages.Messages.workload_queries <-
+    messages.Messages.workload_queries + List.length heard;
+  choose_helper
+    (List.filter_map
+       (fun (vn : State.payload Dht.vnode) ->
+         let hpid = vn.Dht.payload.State.owner in
+         let w = State.workload_of_phys state hpid in
+         if w <= params.Params.sybil_threshold && qualifies hpid then
+           Some (hpid, w)
+         else None)
+       heard)
+
 let decide (state : State.t) =
   let params = state.State.params in
-  let threshold = params.Params.sybil_threshold in
-  let messages = Dht.messages state.State.dht in
   State.iter_decision_candidates state
     (fun (p : State.phys) ->
       if
@@ -61,69 +91,24 @@ let decide (state : State.t) =
              — identical to [initial_mean] when arrivals are off). *)
           is_overloaded ~workload:w ~invite_factor:params.Params.invite_factor
             ~initial_mean:(State.load_reference state)
-        then begin
+        then
           match heaviest_vnode p with
           | None | Some (_, 0) -> ()
-          | Some (inviter_id, _) -> begin
-            let k = params.Params.num_successors in
-            let preds =
-              List.filter
-                (fun (vn : State.payload Dht.vnode) ->
-                  vn.Dht.payload.State.owner <> pid)
-                (Dht.k_predecessors state.State.dht inviter_id k)
+          | Some (inviter_id, _) -> (
+            let qualifies h =
+              State.sybil_count state h < State.sybil_capacity state h
             in
-            (* One announcement reaches k predecessors; each replies with
-               its workload.  Under a fault plan the round-trip to a
-               predecessor can be lost (one outcome draw per predecessor,
-               nearest first — mirrored by the oracle): a dropped
-               predecessor never replies, so it is neither charged a
-               workload query nor considered as a helper.  A straggler's
-               late reply still lands before the next decision period, so
-               [`Delayed] counts as heard.  If every round-trip drops the
-               invitation is a no-op and the still-overloaded machine
-               simply re-announces at its next decision. *)
-            messages.Messages.invitations <- messages.Messages.invitations + k;
-            let heard =
-              List.filter
-                (fun (vn : State.payload Dht.vnode) ->
-                  match
-                    State.reply_outcome state
-                      ~from_pid:vn.Dht.payload.State.owner
-                  with
-                  | `Ok | `Delayed -> true
-                  | `Dropped -> false)
-                preds
-            in
-            messages.Messages.workload_queries <-
-              messages.Messages.workload_queries + List.length heard;
-            let candidates =
-              List.filter
-                (fun (vn : State.payload Dht.vnode) ->
-                  let hpid = vn.Dht.payload.State.owner in
-                  State.workload_of_phys state hpid <= threshold
-                  && State.sybil_count state hpid
-                     < State.sybil_capacity state hpid)
-                heard
-            in
-            let helper =
-              choose_helper
-                (List.map
-                   (fun (vn : State.payload Dht.vnode) ->
-                     let hpid = vn.Dht.payload.State.owner in
-                     (hpid, State.workload_of_phys state hpid))
-                   candidates)
-            in
-            match helper with
+            match
+              announce state pid ~neighbors:Dht.k_predecessors ~qualifies
+                inviter_id
+            with
             | None -> () (* invitation refused *)
-            | Some (hpid, _) -> begin
+            | Some (hpid, _) -> (
               match Dht.arc_of state.State.dht inviter_id with
               | None -> ()
               | Some arc ->
-                ignore
-                  (State.create_sybil state hpid (split_point state inviter_id arc))
-            end
-          end
-        end
+                let id = split_point state inviter_id arc in
+                ignore (State.create_sybil state hpid id)))
       end)
 
 let strategy () = { Engine.name = "invitation"; decide }

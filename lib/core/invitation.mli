@@ -36,3 +36,21 @@ val heaviest_vnode : State.phys -> (Id.t * int) option
     [(id, task count)] of its heaviest ring presence.  Shared with the
     range-reassignment strategy, which splits the same vnode an
     invitation would have split. *)
+
+val announce :
+  State.t ->
+  int ->
+  neighbors:
+    (State.payload Dht.t -> Id.t -> int -> State.payload Dht.vnode list) ->
+  qualifies:(int -> bool) ->
+  Id.t ->
+  (int * int) option
+(** [announce state pid ~neighbors ~qualifies id] runs one invitation
+    handshake for machine [pid]'s vnode [id]: announce to the
+    [num_successors] machines [neighbors] walks from [id] ([pid]'s own
+    vnodes skipped; [num_successors] [invitations] charged), hear their
+    replies ({!State.heard}, a late reply counts; one [workload_queries]
+    charge per reply heard), and return the least-loaded heard machine
+    at or below [sybil_threshold] that [qualifies], as
+    [(pid, workload)] — {!choose_helper}'s pick.  Shared with the
+    range-reassignment strategy, which announces to successors. *)

@@ -50,40 +50,26 @@ let pick_estimate state pid candidates =
   pick_widest usable
 
 (* One smart query round: a workload query is {e sent} to every candidate
-   (charged whether or not its reply makes it back), then one reply
-   outcome is drawn per candidate {e in candidate order} — the oracle
-   replays exactly this draw sequence.  The round succeeds only when
-   every reply arrives within the decision tick: a dropped reply (or a
-   straggler's late one, unless [straggle_delay = 0]) leaves the picture
-   incomplete, and picking "the heaviest of those who answered" would
-   silently bias toward responsive nodes.  Under {!Faults.none} every
-   outcome is [`Ok] with no draws, so this is the pre-fault rule. *)
+   (charged whether or not its reply makes it back), and every candidate's
+   reply takes its outcome draw in candidate order — the oracle replays
+   exactly this draw sequence.  The round succeeds only when every reply
+   arrives within the decision tick: a dropped reply (or a straggler's
+   late one, unless [straggle_delay = 0]) leaves the picture incomplete,
+   and picking "the heaviest of those who answered" would silently bias
+   toward responsive nodes.  Under {!Faults.none} every reply arrives
+   with no draws, so this is the pre-fault rule. *)
 let query_round state candidates =
-  match candidates with
-  | [] -> `Answered None
-  | _ ->
-    let messages = Dht.messages state.State.dht in
-    messages.Messages.workload_queries <-
-      messages.Messages.workload_queries + List.length candidates;
-    let delay = state.State.params.Params.faults.Faults.straggle_delay in
-    let all_in =
-      List.fold_left
-        (fun acc (_, (vn : State.payload Dht.vnode)) ->
-          (* Evaluate every reply even after a miss: the queries were all
-             sent in parallel, so every candidate consumes its draw. *)
-          match State.reply_outcome state ~from_pid:vn.Dht.payload.State.owner with
-          | `Ok -> acc
-          | `Delayed -> acc && delay = 0
-          | `Dropped -> false)
-        true candidates
-    in
-    if all_in then
-      `Answered
-        (pick_heaviest
-           ~load:(fun (_, (vn : State.payload Dht.vnode)) ->
-             Dht.load vn)
-           candidates)
-    else `Timed_out
+  let messages = Dht.messages state.State.dht in
+  messages.Messages.workload_queries <-
+    messages.Messages.workload_queries + List.length candidates;
+  let late_ok = state.State.params.Params.faults.Faults.straggle_delay = 0 in
+  let heard = State.heard state ~late_ok snd candidates in
+  if List.compare_lengths heard candidates = 0 then
+    `Answered
+      (pick_heaviest
+         ~load:(fun (_, (vn : State.payload Dht.vnode)) -> Dht.load vn)
+         candidates)
+  else `Timed_out
 
 (* Inject at the chosen arc's midpoint, with the avoid_repeats memory.
    Under the admission defense an accepted request has no ring presence

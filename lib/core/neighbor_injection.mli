@@ -41,3 +41,12 @@ val pick_heaviest :
   (Interval.t * 'a) option
 (** The arc whose owner reports the most tasks (Smart variant); ties go
     to the nearest. *)
+
+val successor_arcs :
+  State.t -> int -> Id.t -> (Interval.t * State.payload Dht.vnode) list
+(** [successor_arcs state pid self_id] is what machine [pid] sees from
+    its vnode [self_id]: walking the [num_successors] successor list
+    [s0; s1; ...], successor [s_i] owns the arc from the previous entry
+    (or [self_id] for [s0]) up to [s_i].  Arcs of the machine's own
+    vnodes are dropped.  Nearest first.  Shared with strength-aware
+    injection. *)

@@ -43,20 +43,6 @@ let drain_time_of (state : State.t) (vn : State.payload Dht.vnode) =
     ~workload:(Dht.load vn)
     ~strength:state.State.phys.(owner).State.strength
 
-(* The arcs visible from [self_id]'s successor list, excluding arcs the
-   machine itself owns (same locality as neighbor injection). *)
-let successor_arcs (state : State.t) pid self_id =
-  let k = state.State.params.Params.num_successors in
-  let succs = Dht.k_successors state.State.dht self_id k in
-  let rec arcs after = function
-    | [] -> []
-    | (vn : State.payload Dht.vnode) :: rest ->
-      let arc = Interval.make ~after ~upto:vn.Dht.id in
-      let tail = arcs vn.Dht.id rest in
-      if vn.Dht.payload.State.owner = pid then tail else (arc, vn) :: tail
-  in
-  arcs self_id succs
-
 let decide (state : State.t) =
   let params = state.State.params in
   let threshold = float_of_int params.Params.sybil_threshold in
@@ -80,31 +66,24 @@ let decide (state : State.t) =
           match p.State.vnodes with
           | [] -> ()
           | self :: _ ->
-            let candidates = successor_arcs state pid self.Dht.id in
+            (* The arcs visible from the successor list, as in neighbor
+               injection.  Queries are sent to every candidate (charged),
+               but under a fault plan only the replies that arrive within
+               the tick are usable: dropped or straggling replies (unless
+               [straggle_delay = 0]) are invisible.  With nothing heard
+               the machine falls back to a random address — same shape
+               as "nothing worth stealing". *)
+            let candidates =
+              Neighbor_injection.successor_arcs state pid self.Dht.id
+            in
             let messages = Dht.messages state.State.dht in
-            (* Queries are sent to every candidate (charged), but under a
-               fault plan only the replies that arrive within the tick are
-               usable: one outcome draw per candidate in order, dropped or
-               straggling replies (unless [straggle_delay = 0]) are
-               invisible.  With nothing heard the machine falls back to a
-               random address — same shape as "nothing worth stealing". *)
             messages.Messages.workload_queries <-
               messages.Messages.workload_queries + List.length candidates;
-            let delay = params.Params.faults.Faults.straggle_delay in
-            let heard =
-              List.filter
-                (fun (_, (vn : State.payload Dht.vnode)) ->
-                  match
-                    State.reply_outcome state
-                      ~from_pid:vn.Dht.payload.State.owner
-                  with
-                  | `Ok -> true
-                  | `Delayed -> delay = 0
-                  | `Dropped -> false)
-                candidates
-            in
+            let late_ok = params.Params.faults.Faults.straggle_delay = 0 in
             let worst =
-              pick_slowest ~drain:(fun (_, vn) -> drain_time_of state vn) heard
+              pick_slowest
+                ~drain:(fun (_, vn) -> drain_time_of state vn)
+                (State.heard state ~late_ok snd candidates)
             in
             let target =
               match worst with

@@ -416,7 +416,7 @@ let rec take n = function
   | [] -> []
   | x :: tl -> if n <= 0 then [] else x :: take (n - 1) tl
 
-(* Mirrors State.repl_prune_one: departures leave every holder list. *)
+(* Mirrors State.prune_holder: departures leave every holder list. *)
 let prune_holder o id =
   o.holders <-
     List.map
@@ -449,7 +449,9 @@ let repl_note_leave o ~id ~recipient =
   end
 
 (* Donor/recipient snapshots taken before the join/leave mutates the
-   ring — mirror State.repl_donor / State.repl_recipient. *)
+   ring.  State.repl_note_join / State.repl_note_leave read the same
+   vnode after the move instead, as the successor of [id] (the ring's
+   first vnode, its own successor, has no donor). *)
 let repl_donor o id =
   if not (recovery_on o) then None
   else match successor o id with None -> None | Some vn -> Some vn.id
@@ -650,7 +652,8 @@ let relocate_phys o pid ~id =
   | _ -> false
 
 (* Recovery traffic only if the machine actually departed — a surviving
-   last node recovers nothing.  Mirrors State.fail_phys_assumed. *)
+   last node recovers nothing.  Mirrors the assumed-reliable branch of
+   State.fail_machines. *)
 let fail_phys_assumed o pid =
   let lost = workload_of_phys o pid in
   leave_phys o pid;
@@ -721,7 +724,8 @@ let process_admissions o =
         | _ -> ())
       o.machs
 
-(* Mirrors State.inject_attack_sybil: an immediate cap-bypassing join. *)
+(* Mirrors the defense-off injection in State.apply_attack: an
+   immediate cap-bypassing join. *)
 let inject_attack_sybil o pid id =
   charge_lookup o;
   let donor = repl_donor o id in
@@ -775,6 +779,8 @@ let can_decide o pid =
        (o.machs.(pid).malicious
        && Attack.active o.params.Params.attack ~tick:o.tick)
 
+(* One reply's fate; State.heard applies the same rule to every
+   candidate of a query round, in order. *)
 let reply_outcome o ~from_pid =
   let f = o.params.Params.faults in
   let drop () =
@@ -1021,13 +1027,13 @@ let create (params : Params.t) =
         end)
     keys;
   (* Open system: the initial batch is born at tick 0 — mirrors
-     State.create's birth seeding over the stored key set. *)
+     State.assemble's birth seeding over the stored key set. *)
   if Arrivals.enabled arrivals then
     List.iter
       (fun vn -> List.iter (fun k -> o.birth <- (k, 0) :: o.birth) vn.keys)
       o.ring;
-  (* Mirrors State.create's initial enrolment: the data load ships with
-     its backups — charged as replication traffic, no drop draws. *)
+  (* Mirrors State.enrol_replicas: the data load ships with its
+     backups — charged as replication traffic, no drop draws. *)
   if recovery_on o then
     List.iter
       (fun vn ->

@@ -74,6 +74,8 @@ type t = {
    [holders] and [backs] always change together through these helpers;
    the checked-mode invariant verifies they stay exact inverses. *)
 
+let holders r v = Option.value ~default:[] (Hashtbl.find_opt r.holders v)
+
 let backs_add r h v =
   match Hashtbl.find_opt r.backs h with
   | None -> Hashtbl.replace r.backs h (ref [ v ])
@@ -88,7 +90,7 @@ let backs_remove r h v =
 
 (* Replace vnode [v]'s holder list, diffing the reverse index. *)
 let set_holders r v hs =
-  let old = Option.value ~default:[] (Hashtbl.find_opt r.holders v) in
+  let old = holders r v in
   List.iter
     (fun h -> if not (List.exists (Id.equal h) hs) then backs_remove r h v)
     old;
@@ -99,9 +101,7 @@ let set_holders r v hs =
 
 (* Forget vnode [v]'s own entry (it left the ring). *)
 let drop_holder_entry r v =
-  (match Hashtbl.find_opt r.holders v with
-  | None -> ()
-  | Some hs -> List.iter (fun h -> backs_remove r h v) hs);
+  List.iter (fun h -> backs_remove r h v) (holders r v);
   Hashtbl.remove r.holders v
 
 (* Drop departed id [h] from every holder list that names it — the
@@ -121,6 +121,107 @@ let prune_holder r h =
           Hashtbl.replace r.holders v
             (List.filter (fun x -> not (Id.equal x h)) hs))
       backed
+
+(* --- Construction ------------------------------------------------------
+   [create] and [For_testing.build] differ only in where the machines,
+   the keys and the setup draws come from; both build the machines and
+   assemble the record through the helpers below.  Setup joins carry no
+   replica bookkeeping: [assemble] enrols every vnode in bulk once the
+   keys are stored. *)
+
+(* A machine holding the ring records [vnodes] (head = primary; [[]] =
+   waiting). *)
+let machine ~pid ~strength ~original_id ?(straggler = false)
+    ?(malicious = false) vnodes =
+  {
+    pid;
+    strength;
+    original_id;
+    straggler;
+    malicious;
+    active = vnodes <> [];
+    vnodes;
+    failed_arcs = [];
+    retry_attempts = 0;
+    retry_at = -1;
+    puzzle = None;
+  }
+
+(* Live replication: the initial data load ships with its backups —
+   every vnode's tasks are enrolled on its next [replicas] successors,
+   charged as replication traffic but with no enrolment-drop draws
+   (repl_drop models the lazy repair path, not the setup).  Enrolment
+   is bulk: one ascending pass with index arithmetic over the sorted
+   vnode array gives each vnode the same successor list a
+   [Dht.k_successors] walk would, without n O(k log n) walks. *)
+let enrol_replicas (params : Params.t) dht =
+  if not (Params.recovery_on params) then None
+  else begin
+    let r =
+      {
+        holders = Hashtbl.create 256;
+        backs = Hashtbl.create 256;
+        last_version = -1;
+        last_complete = false;
+      }
+    in
+    let m = Dht.messages dht in
+    let vns = Array.of_list (List.rev (Dht.fold List.cons dht [])) in
+    let count = Array.length vns in
+    let want = min params.replicas (count - 1) in
+    Array.iteri
+      (fun i vn ->
+        m.Messages.replications <-
+          m.Messages.replications + (want * Dht.load vn);
+        set_holders r vn.Dht.id
+          (List.init want (fun j -> vns.((i + j + 1) mod count).Dht.id)))
+      vns;
+    r.last_version <- m.Messages.joins + m.Messages.leaves;
+    r.last_complete <- true;
+    Some r
+  end
+
+(* Store the task keys, enrol their replicas and assemble the record.
+   Open system only: every stored key carries a birth tick so its
+   sojourn can be settled at completion, and the initial batch is born
+   at tick 0.  The ring holds no keys yet, so [insert_keys] drops only
+   in-batch duplicates, and [replace] collapses those the same way:
+   enrolling the array records exactly the stored population without
+   reading a key back out of the ring. *)
+let assemble (params : Params.t) ~dht ~phys ~rng ~frng ~arng ~krng
+    ~partitioned ~attackers ~hot_centers keys =
+  let initial_tasks =
+    match Dht.insert_keys dht keys with
+    | Ok n -> n (* duplicate keys (negligible probability) drop silently *)
+    | Error `Empty_ring -> invalid_arg "State: task keys for an empty ring"
+  in
+  let repl = enrol_replicas params dht in
+  let arrivals_on = Arrivals.enabled params.arrivals in
+  let birth = Hashtbl.create (if arrivals_on then 4096 else 1) in
+  if arrivals_on then Array.iter (fun k -> Hashtbl.replace birth k 0) keys;
+  {
+    params;
+    dht;
+    phys;
+    rng;
+    frng;
+    arng;
+    krng;
+    partitioned;
+    attackers;
+    repl;
+    initial_mean = float_of_int params.tasks /. float_of_int params.nodes;
+    initial_tasks;
+    hot_centers;
+    birth;
+    sojourn_hist = Hashtbl.create (if arrivals_on then 256 else 1);
+    tick = 0;
+    work_done_total = 0;
+    n_active =
+      Array.fold_left (fun acc p -> if p.active then acc + 1 else acc) 0 phys;
+    arrived_total = 0;
+    tick_sojourns = [];
+  }
 
 let create (params : Params.t) =
   (match Params.validate params with
@@ -169,40 +270,26 @@ let create (params : Params.t) =
     end
     else []
   in
-  let strength () =
-    match params.heterogeneity with
-    | Params.Homogeneous -> 1
-    | Params.Heterogeneous -> Prng.int_in rng ~lo:1 ~hi:params.max_sybils
-  in
-  (* All strengths are drawn before the joins (which draw nothing) and
-     the task keys, in pid order — the stream layout predates the
-     record-holding phys array and must not move. *)
-  let strengths = Array.init total_phys (fun _ -> strength ()) in
+  (* The first [nodes] machines start on the ring at their own ids; the
+     joins draw nothing, so the strengths are still drawn in pid order
+     right before the task keys. *)
   let dht = Dht.create () in
-  let initial_vnode = Array.make n None in
-  for pid = 0 to n - 1 do
-    match Dht.join dht ~id:ids.(pid) ~payload:{ owner = pid } with
-    | Ok vn -> initial_vnode.(pid) <- Some vn
-    | Error `Occupied -> assert false (* node ids are drawn distinct *)
-  done;
+  let primaries =
+    Array.init n (fun pid ->
+        match Dht.join dht ~id:ids.(pid) ~payload:{ owner = pid } with
+        | Ok vn -> vn
+        | Error `Occupied -> assert false (* node ids are drawn distinct *))
+  in
   let phys =
     Array.init total_phys (fun pid ->
-        {
-          pid;
-          strength = strengths.(pid);
-          original_id = ids.(pid);
-          straggler = straggler.(pid);
-          malicious = malicious.(pid);
-          active = pid < n;
-          vnodes =
-            (if pid < n then
-               match initial_vnode.(pid) with Some vn -> [ vn ] | None -> []
-             else []);
-          failed_arcs = [];
-          retry_attempts = 0;
-          retry_at = -1;
-          puzzle = None;
-        })
+        let strength =
+          match params.heterogeneity with
+          | Params.Homogeneous -> 1
+          | Params.Heterogeneous -> Prng.int_in rng ~lo:1 ~hi:params.max_sybils
+        in
+        machine ~pid ~strength ~original_id:ids.(pid)
+          ~straggler:straggler.(pid) ~malicious:malicious.(pid)
+          (if pid < n then [ primaries.(pid) ] else []))
   in
   let keys =
     match params.keys with
@@ -214,54 +301,6 @@ let create (params : Params.t) =
           let offset = Id.of_fraction (Prng.float_unit rng *. spread) in
           Id.add centers.(j) offset)
   in
-  let initial_tasks =
-    match Dht.insert_keys dht keys with
-    | Ok n -> n (* duplicate keys (negligible probability) drop silently *)
-    | Error `Empty_ring -> assert false
-  in
-  (* Live replication: the initial data load ships with its backups —
-     every vnode's tasks are enrolled on its next [replicas] successors,
-     charged as replication traffic but with no enrolment-drop draws
-     (repl_drop models the lazy repair path, not the setup).  Enrolment
-     is bulk: one ascending pass with index arithmetic over the sorted
-     vnode array gives each vnode the same successor list a per-vnode
-     ring walk would, without n O(k log n) walks. *)
-  let repl =
-    if not (Params.recovery_on params) then None
-    else begin
-      let r =
-        {
-          holders = Hashtbl.create 256;
-          backs = Hashtbl.create 256;
-          last_version = -1;
-          last_complete = false;
-        }
-      in
-      let m = Dht.messages dht in
-      let vns =
-        (* Ascending id order, as [Dht.iter] would visit. *)
-        let acc = ref [] in
-        Dht.iter (fun vn -> acc := vn :: !acc) dht;
-        Array.of_list (List.rev !acc)
-      in
-      let count = Array.length vns in
-      let want = min params.replicas (count - 1) in
-      Array.iteri
-        (fun i vn ->
-          let hs = ref [] in
-          for j = want downto 1 do
-            hs := vns.((i + j) mod count).Dht.id :: !hs
-          done;
-          m.Messages.replications <-
-            m.Messages.replications + (want * Dht.load vn);
-          Hashtbl.replace r.holders vn.Dht.id !hs;
-          List.iter (fun h -> backs_add r h vn.Dht.id) !hs)
-        vns;
-      r.last_version <- m.Messages.joins + m.Messages.leaves;
-      r.last_complete <- true;
-      Some r
-    end
-  in
   (* Arrival-stream setup draws ([Arrivals.rng], the third dedicated
      stream): iff the plan is enabled AND uses hot keys, the hotspot
      centers are drawn first; nothing else draws at setup.  A disabled
@@ -269,44 +308,14 @@ let create (params : Params.t) =
      to an engine without lib/arrivals at all (mirrored in lib/oracle —
      the arrival draw-order contract in docs/TESTING.md). *)
   let arng = Arrivals.rng ~seed:params.seed in
-  let arrivals_on = Arrivals.enabled params.arrivals in
   let hot_centers =
-    if arrivals_on then
-      match params.arrivals.Arrivals.keys with
-      | Arrivals.Hot { hotspots; _ } -> Keygen.node_ids arng hotspots
-      | Arrivals.Uniform -> [||]
-    else [||]
+    match params.arrivals.Arrivals.keys with
+    | Arrivals.Hot { hotspots; _ } when Arrivals.enabled params.arrivals ->
+      Keygen.node_ids arng hotspots
+    | _ -> [||]
   in
-  (* Open system only: every stored key carries a birth tick so its
-     sojourn can be settled at completion.  The initial batch is born at
-     tick 0.  The ring starts empty, so [insert_keys] dropped only
-     in-batch duplicates, and [replace] collapses those the same way:
-     enrolling the drawn array records exactly the stored population
-     without reading a key back out of the ring. *)
-  let birth = Hashtbl.create (if arrivals_on then 4096 else 1) in
-  if arrivals_on then Array.iter (fun k -> Hashtbl.replace birth k 0) keys;
-  {
-    params;
-    dht;
-    phys;
-    rng;
-    frng;
-    arng;
-    krng;
-    partitioned;
-    attackers;
-    repl;
-    initial_mean = float_of_int params.tasks /. float_of_int n;
-    initial_tasks;
-    hot_centers;
-    birth;
-    sojourn_hist = Hashtbl.create (if arrivals_on then 256 else 1);
-    tick = 0;
-    work_done_total = 0;
-    n_active = n;
-    arrived_total = 0;
-    tick_sojourns = [];
-  }
+  assemble params ~dht ~phys ~rng ~frng ~arng ~krng ~partitioned ~attackers
+    ~hot_centers keys
 
 let remaining_tasks t = Dht.total_keys t.dht
 
@@ -428,9 +437,11 @@ let lookup_cost t =
   let n = max 2 (Dht.size t.dht) in
   int_of_float (ceil (Routing.expected_hops n))
 
-let charge_lookup t =
-  (Dht.messages t.dht).Messages.lookup_hops <-
-    (Dht.messages t.dht).Messages.lookup_hops + lookup_cost t
+let add_hops t hops =
+  let m = Dht.messages t.dht in
+  m.Messages.lookup_hops <- m.Messages.lookup_hops + hops
+
+let charge_lookup t = add_hops t (lookup_cost t)
 
 (* --- Replica-map maintenance -------------------------------------------
    Only live when [Params.replicas > 0] ([t.repl = Some _]); every helper
@@ -439,70 +450,93 @@ let charge_lookup t =
    randomness is the optional repl_drop bernoulli in the repair pass. *)
 
 let replica_holders t id =
-  match t.repl with
-  | None -> []
-  | Some r -> Option.value ~default:[] (Hashtbl.find_opt r.holders id)
+  match t.repl with None -> [] | Some r -> holders r id
 
 let rec take n = function
   | [] -> []
   | x :: tl -> if n <= 0 then [] else x :: take (n - 1) tl
 
-(* A vnode joining with a key split takes over part of its donor's arc;
-   the donor keeps holding the handed-over tasks, so the newcomer starts
-   out backed by the donor plus the donor's own holders (capped at
-   [replicas]) until the next repair pass rebuilds its true successor
-   list. *)
-let repl_note_join t ~id ~donor =
+(* A vnode that just joined at [id] took over part of its successor's
+   arc; that donor keeps holding the handed-over tasks, so the newcomer
+   starts out backed by the donor plus the donor's own holders (capped
+   at [replicas]) until the next repair pass rebuilds its true successor
+   list.  The ring's first vnode is its own successor and has no
+   donor. *)
+let repl_note_join t id =
   match t.repl with
   | None -> ()
   | Some r ->
-    let hs =
-      match donor with
-      | None -> []
-      | Some d ->
-        take t.params.Params.replicas
-          (d :: Option.value ~default:[] (Hashtbl.find_opt r.holders d))
-    in
-    set_holders r id hs
+    set_holders r id
+      (match Dht.successor t.dht id with
+      | Some d when not (Id.equal d.Dht.id id) ->
+        take t.params.Params.replicas (d.Dht.id :: holders r d.Dht.id)
+      | _ -> [])
 
-(* A graceful leave merges the leaver's range into its successor: a
-   holder backs the merged range only if it already backed both parts,
+(* A graceful leave just merged the leaver's range into its successor:
+   a holder backs the merged range only if it already backed both parts,
    so the recipient's list intersects with the leaver's. *)
-let repl_note_leave t ~id ~recipient =
+let repl_note_leave t id =
   match t.repl with
   | None -> ()
   | Some r ->
-    let own = Option.value ~default:[] (Hashtbl.find_opt r.holders id) in
+    let own = holders r id in
     drop_holder_entry r id;
-    (match recipient with
+    (match Dht.successor t.dht id with
     | None -> ()
     | Some s ->
-      let sh = Option.value ~default:[] (Hashtbl.find_opt r.holders s) in
-      set_holders r s (List.filter (fun h -> List.exists (Id.equal h) own) sh));
+      let s = s.Dht.id in
+      set_holders r s
+        (List.filter (fun h -> List.exists (Id.equal h) own) (holders r s)));
     prune_holder r id
 
-(* Key donor (the successor) of a join at [id], recorded before the join
-   lands; [None] when the map is off (avoids the ring walk) or the ring
-   is empty. *)
-let repl_donor t id =
-  match t.repl with
-  | None -> None
-  | Some _ -> (
-    match Dht.successor t.dht id with
-    | None -> None
-    | Some vn -> Some vn.Dht.id)
+(* --- Ring moves ----------------------------------------------------------
+   Every join and every graceful leave of a running simulation goes
+   through [join_vnode] and [leave_vnode], which keep the ring, the
+   replica map and the machine's vnode list in step.  Lookup charges,
+   activation and ledgers stay with the callers, which differ in them. *)
 
-(* Graceful-leave recipient, recorded before the leave: the successor
-   that will absorb the keys, or [None] when the leaver is alone. *)
-let repl_recipient t id =
-  match t.repl with
-  | None -> None
-  | Some _ ->
-    if Dht.size t.dht <= 1 then None
-    else (
-      match Dht.successor t.dht id with
-      | None -> None
-      | Some vn -> Some vn.Dht.id)
+(* [false], changing nothing, when [id] is occupied. *)
+let join_vnode t p id =
+  match Dht.join t.dht ~id ~payload:{ owner = p.pid } with
+  | Error `Occupied -> false
+  | Ok vn ->
+    repl_note_join t id;
+    p.vnodes <- p.vnodes @ [ vn ];
+    true
+
+let rec without vn = function
+  | [] -> []
+  | v :: rest -> if v == vn then rest else v :: without vn rest
+
+(* [false], changing nothing, when [vn] is the ring's last key-holding
+   vnode: someone must hold the keys. *)
+let leave_vnode t p (vn : payload Dht.vnode) =
+  match Dht.leave t.dht vn.Dht.id with
+  | Error `Last_node -> false
+  | Error `Not_member -> assert false
+  | Ok () ->
+    repl_note_leave t vn.Dht.id;
+    p.vnodes <- without vn p.vnodes;
+    true
+
+(* A moved or departed machine's arc memory, in-flight query retry and
+   half-solved admission puzzle are stale; it starts fresh wherever it
+   joins next. *)
+let forget_position p =
+  p.failed_arcs <- [];
+  p.retry_attempts <- 0;
+  p.retry_at <- -1;
+  p.puzzle <- None
+
+let deactivate t p =
+  if p.active then t.n_active <- t.n_active - 1;
+  p.active <- false;
+  p.vnodes <- [];
+  forget_position p
+
+let count_attack_join t =
+  let m = Dht.messages t.dht in
+  m.Messages.attack_joins <- m.Messages.attack_joins + 1
 
 (* Start one admission puzzle ([Params.puzzle_cost > 0] only): the
    lookup is charged now (the requester had to route to the target id
@@ -532,30 +566,19 @@ let create_sybil t pid id =
     end
   else begin
     charge_lookup t;
-    let donor = repl_donor t id in
-    match Dht.join t.dht ~id ~payload:{ owner = pid } with
-    | Ok vn ->
-      repl_note_join t ~id ~donor;
-      p.vnodes <- p.vnodes @ [ vn ];
-      true
-    | Error `Occupied -> false
+    join_vnode t p id
   end
 
 let retire_sybils t pid =
   let p = t.phys.(pid) in
   match p.vnodes with
   | [] -> ()
-  | primary :: sybils ->
+  | _ :: sybils ->
     List.iter
-      (fun (vn : payload Dht.vnode) ->
-        let id = vn.Dht.id in
-        let recipient = repl_recipient t id in
-        match Dht.leave t.dht id with
-        | Ok () -> repl_note_leave t ~id ~recipient
-        | Error `Not_member -> assert false
-        | Error `Last_node -> assert false (* the primary is still present *))
+      (fun vn ->
+        if not (leave_vnode t p vn) then
+          assert false (* the primary is still present *))
       sybils;
-    p.vnodes <- [ primary ];
     (* Invariant mode verifies the retirement actually cleared the ring:
        a zero-work machine must not keep ghost Sybil vnodes behind. *)
     if Params.check_requested t.params then
@@ -574,48 +597,25 @@ let leave_phys t pid =
   retire_sybils t pid;
   match p.vnodes with
   | [] -> ()
-  | [ primary ] -> begin
-    let primary_id = primary.Dht.id in
-    let recipient = repl_recipient t primary_id in
-    match Dht.leave t.dht primary_id with
-    | Ok () ->
-      repl_note_leave t ~id:primary_id ~recipient;
-      p.vnodes <- [];
-      p.active <- false;
-      t.n_active <- t.n_active - 1;
-      p.failed_arcs <- [];
-      (* A departing machine abandons any in-flight query retry and any
-         half-solved admission puzzle; it will start fresh if it
-         rejoins. *)
-      p.retry_attempts <- 0;
-      p.retry_at <- -1;
-      p.puzzle <- None
-    | Error `Last_node -> () (* stays: someone must hold the keys *)
-    | Error `Not_member -> assert false
-  end
+  | [ primary ] -> if leave_vnode t p primary then deactivate t p
   | _ :: _ -> assert false
 
 (* Message-accounting contract (docs/TESTING.md): a machine rejoin is
    charged its lookup hops only when the join lands.  A refused rejoin
-   (`Occupied, only reachable with pinned identities) retries on a later
-   tick — billing every retry would charge one join without bound.  The
-   hop count is priced at the pre-join ring size, as before. *)
+   (`Occupied, only reachable with pinned identities) stays waiting and
+   retries on a later tick — billing every retry would charge one join
+   without bound.  The hop count is priced at the pre-join ring size. *)
 let join_phys t pid =
   let p = t.phys.(pid) in
   let id =
     if t.params.rejoin_fresh_id then Keygen.fresh t.rng else p.original_id
   in
   let hops = lookup_cost t in
-  let donor = repl_donor t id in
-  match Dht.join t.dht ~id ~payload:{ owner = pid } with
-  | Ok vn ->
-    (Dht.messages t.dht).Messages.lookup_hops <-
-      (Dht.messages t.dht).Messages.lookup_hops + hops;
-    repl_note_join t ~id ~donor;
-    p.vnodes <- [ vn ];
+  if join_vnode t p id then begin
+    add_hops t hops;
     p.active <- true;
     t.n_active <- t.n_active + 1
-  | Error `Occupied -> () (* stays waiting; retries on a later tick *)
+  end
 
 (* Range reassignment (strategy 10): a helper machine gives up its
    current ring position and rejoins at [id] — typically a split point
@@ -630,51 +630,17 @@ let join_phys t pid =
 let relocate_phys t pid ~id =
   let p = t.phys.(pid) in
   match p.vnodes with
-  | [ primary ] when p.active && Dht.find t.dht id = None -> begin
-    let primary_id = primary.Dht.id in
-    let recipient = repl_recipient t primary_id in
-    match Dht.leave t.dht primary_id with
-    | Error `Last_node -> false (* someone must hold the keys *)
-    | Error `Not_member -> assert false
-    | Ok () ->
-      repl_note_leave t ~id:primary_id ~recipient;
-      let hops = lookup_cost t in
-      let donor = repl_donor t id in
-      (match Dht.join t.dht ~id ~payload:{ owner = pid } with
-      | Ok vn ->
-        (Dht.messages t.dht).Messages.lookup_hops <-
-          (Dht.messages t.dht).Messages.lookup_hops + hops;
-        repl_note_join t ~id ~donor;
-        p.vnodes <- [ vn ];
-        (* The machine moved: its arc memory, in-flight retry, and any
-           half-solved admission puzzle are stale at the new position. *)
-        p.failed_arcs <- [];
-        p.retry_attempts <- 0;
-        p.retry_at <- -1;
-        p.puzzle <- None;
-        true
-      | Error `Occupied ->
-        (* The target was checked free and a leave cannot occupy it. *)
-        assert false)
-  end
+  | [ primary ] when p.active && Dht.find t.dht id = None ->
+    leave_vnode t p primary
+    && begin
+         let hops = lookup_cost t in
+         (* The target was checked free and a leave cannot occupy it. *)
+         if not (join_vnode t p id) then assert false;
+         add_hops t hops;
+         forget_position p;
+         true
+       end
   | _ -> false
-
-(* Ungraceful death, assumed-reliable model ([replicas = 0]): like a
-   leave, except nobody hands keys over — the successor must fetch them
-   from its replicas, so the recovery costs a second transfer of every
-   key the dead machine held (the paper's active-backup assumption makes
-   the fetch always succeed).  Recovery is billed only if the machine
-   actually departs: the ring's last key-holding vnode refuses the
-   departure (`Last_node) and keeps serving its keys, so there is
-   nothing to recover. *)
-let fail_phys_assumed t pid =
-  let lost_keys = workload_of_phys t pid in
-  leave_phys t pid;
-  if not t.phys.(pid).active then begin
-    let messages = Dht.messages t.dht in
-    messages.Messages.key_transfers <-
-      messages.Messages.key_transfers + lost_keys
-  end
 
 (* Ungraceful death, live-replication model ([replicas > 0]): all vnodes
    of all [pids] die in ONE simultaneous event.  Every dying vnode is
@@ -688,8 +654,7 @@ let fail_phys_assumed t pid =
    [Replication.loss_after_failure] on the same ring).  There is no
    last-node protection here: a crash does not ask permission, so a
    large enough event may empty the ring and lose everything. *)
-let crash_machines t pids =
-  let r = match t.repl with Some r -> r | None -> assert false in
+let crash_machines t r pids =
   let dying =
     List.concat_map
       (fun pid ->
@@ -706,28 +671,14 @@ let crash_machines t pids =
         | Error `Not_member -> assert false)
       dying
   in
-  List.iter
-    (fun pid ->
-      let p = t.phys.(pid) in
-      p.vnodes <- [];
-      if p.active then t.n_active <- t.n_active - 1;
-      p.active <- false;
-      p.failed_arcs <- [];
-      p.retry_attempts <- 0;
-      p.retry_at <- -1;
-      p.puzzle <- None)
-    pids;
+  List.iter (fun pid -> deactivate t t.phys.(pid)) pids;
   let m = Dht.messages t.dht in
   List.iter
     (fun (id, keys) ->
-      let survives =
-        (* Eager pruning keeps holder lists inside the ring, so a holder
-           is live iff it did not die in this same event. *)
-        List.exists
-          (fun h -> not (Hashtbl.mem dead h))
-          (Option.value ~default:[] (Hashtbl.find_opt r.holders id))
-      in
-      if survives then ignore (Dht.restore t.dht ~near:id keys)
+      (* Eager pruning keeps holder lists inside the ring, so a holder
+         is live iff it did not die in this same event. *)
+      if List.exists (fun h -> not (Hashtbl.mem dead h)) (holders r id) then
+        ignore (Dht.restore t.dht ~near:id keys)
       else begin
         m.Messages.tasks_lost <- m.Messages.tasks_lost + Dht.keys_count keys;
         (* Lost tasks never complete: close their ledger entries so the
@@ -739,12 +690,34 @@ let crash_machines t pids =
   List.iter (fun (id, _) -> drop_holder_entry r id) removed;
   List.iter (fun (id, _) -> prune_holder r id) removed
 
+(* Ungraceful death of [pids], the one dispatch behind churn failures,
+   the attack's window-close crash and crash bursts.  With live
+   replication the whole list is one crash event ([crash_machines]).
+   In the assumed-reliable model ([replicas = 0]) each machine in turn
+   departs like a leave, except nobody hands keys over — the successor
+   must fetch them from its replicas, so the recovery costs a second
+   transfer of every key the dead machine held (the paper's
+   active-backup assumption makes the fetch always succeed).  Recovery
+   is billed only if the machine actually departs: the ring's last
+   key-holding vnode refuses the departure (`Last_node) and keeps
+   serving its keys, so there is nothing to recover. *)
+let fail_machines t pids =
+  match t.repl with
+  | Some r -> crash_machines t r pids
+  | None ->
+    List.iter
+      (fun pid ->
+        let lost_keys = workload_of_phys t pid in
+        leave_phys t pid;
+        if not t.phys.(pid).active then begin
+          let m = Dht.messages t.dht in
+          m.Messages.key_transfers <- m.Messages.key_transfers + lost_keys
+        end)
+      pids
+
 (* A lone churn failure is a one-machine crash event: with live
    replication its tasks survive iff a replica holder outlives it. *)
-let fail_phys t pid =
-  match t.repl with
-  | None -> fail_phys_assumed t pid
-  | Some _ -> crash_machines t [ pid ]
+let fail_phys t pid = fail_machines t [ pid ]
 
 let apply_churn t =
   let churn = t.params.churn_rate and fail = t.params.failure_rate in
@@ -841,47 +814,25 @@ let process_admissions t =
         match p.puzzle with
         | Some a when a.ready <= t.tick ->
           p.puzzle <- None;
-          if p.active then begin
-            let donor = repl_donor t a.adm_id in
-            match Dht.join t.dht ~id:a.adm_id ~payload:{ owner = p.pid } with
-            | Ok vn ->
-              repl_note_join t ~id:a.adm_id ~donor;
-              p.vnodes <- p.vnodes @ [ vn ];
-              if a.from_attack then begin
-                let m = Dht.messages t.dht in
-                m.Messages.attack_joins <- m.Messages.attack_joins + 1
-              end
-            | Error `Occupied -> ()
-          end
+          if p.active && join_vnode t p a.adm_id && a.from_attack then
+            count_attack_join t
         | _ -> ())
       t.phys
-
-(* One adversarial Sybil joining immediately (defense off).  Bypasses
-   the Sybil cap — fabricating identities is exactly what the cap cannot
-   police without an admission cost — but pays the same lookup any join
-   pays.  A refused join (`Occupied) wastes the attempt. *)
-let inject_attack_sybil t pid id =
-  charge_lookup t;
-  let donor = repl_donor t id in
-  match Dht.join t.dht ~id ~payload:{ owner = pid } with
-  | Ok vn ->
-    repl_note_join t ~id ~donor;
-    t.phys.(pid).vnodes <- t.phys.(pid).vnodes @ [ vn ];
-    let m = Dht.messages t.dht in
-    m.Messages.attack_joins <- m.Messages.attack_joins + 1
-  | Error `Occupied -> ()
 
 (* One tick of the adversary.  While the plan is active, each
    still-active malicious machine — ascending pid order — eclipses the
    targeted arc: defense off, [strength] placements per tick (one
    attack-stream draw each, joined immediately); defense on, ONE
    placement draw iff the machine's puzzle slot is free — the admission
-   tax throttles even the adversary to one pending Sybil at a time.
-   Inactive attackers (churned out) draw nothing.  When a windowed
-   plan's window closes (the tick AFTER the last active one), every
-   still-active malicious machine crashes in one event — recovered from
-   live replicas when they exist, via the assumed-backup path
-   otherwise. *)
+   tax throttles even the adversary to one pending Sybil at a time.  An
+   immediate adversarial join bypasses the Sybil cap — fabricating
+   identities is exactly what the cap cannot police without an
+   admission cost — but pays the same lookup any join pays; a refused
+   join (`Occupied) wastes the attempt.  Inactive attackers (churned
+   out) draw nothing.  When a windowed plan's window closes (the tick
+   AFTER the last active one), every still-active malicious machine
+   crashes in one event — recovered from live replicas when they exist,
+   via the assumed-backup path otherwise. *)
 let apply_attack t =
   let plan = t.params.Params.attack in
   if Attack.enabled plan then begin
@@ -897,17 +848,14 @@ let apply_attack t =
             end
             else
               for _ = 1 to plan.Attack.strength do
-                inject_attack_sybil t pid (Attack.inject_id t.krng plan)
+                let id = Attack.inject_id t.krng plan in
+                charge_lookup t;
+                if join_vnode t p id then count_attack_join t
               done)
         t.attackers;
     match Attack.crash_tick plan with
-    | Some stop when stop = t.tick -> begin
-      let victims = List.filter (fun pid -> t.phys.(pid).active) t.attackers in
-      if victims <> [] then
-        match t.repl with
-        | None -> List.iter (fail_phys_assumed t) victims
-        | Some _ -> crash_machines t victims
-    end
+    | Some stop when stop = t.tick ->
+      fail_machines t (List.filter (fun pid -> t.phys.(pid).active) t.attackers)
     | _ -> ()
   end
 
@@ -959,12 +907,7 @@ let note_failed_arc t pid arc =
   let p = t.phys.(pid) in
   (* Keep a small bounded memory; old failures age out as the list is
      truncated. *)
-  let keep = 8 in
-  let rec take n = function
-    | [] -> []
-    | x :: tl -> if n = 0 then [] else x :: take (n - 1) tl
-  in
-  p.failed_arcs <- take keep (arc :: p.failed_arcs)
+  p.failed_arcs <- take 8 (arc :: p.failed_arcs)
 
 let arc_recently_failed t pid arc =
   List.exists
@@ -992,22 +935,25 @@ let can_decide t pid =
        (t.phys.(pid).malicious
        && Attack.active t.params.Params.attack ~tick:t.tick)
 
-(* Outcome of one control-plane reply from [from_pid] back to a querier.
-   Draw order: partition (no draw) → drop bernoulli (consumes a draw only
-   when 0 < p < 1 — [Prng.bernoulli] short-circuits at the endpoints) →
-   straggler flag (no draw).  Charges [dropped] internally so callers
-   cannot forget. *)
-let reply_outcome t ~from_pid =
-  let f = t.params.Params.faults in
-  let drop () =
-    let m = Dht.messages t.dht in
-    m.Messages.dropped <- m.Messages.dropped + 1;
-    `Dropped
-  in
-  if is_partitioned t from_pid then drop ()
-  else if Prng.bernoulli t.frng f.Faults.drop then drop ()
-  else if t.phys.(from_pid).straggler then `Delayed
-  else `Ok
+(* One query round's replies, the single rule every strategy asks.  Per
+   candidate in order: partitioned sender (no draw), else the drop
+   bernoulli (a draw only when 0 < p < 1 — [Prng.bernoulli]
+   short-circuits at the endpoints), else the straggler flag (no draw).
+   [List.filter] visits every candidate even after a miss — the queries
+   went out in parallel, so each reply takes its draw.  Charges
+   [dropped] internally so callers cannot forget. *)
+let heard t ~late_ok vnode candidates =
+  let drop = t.params.Params.faults.Faults.drop in
+  let m = Dht.messages t.dht in
+  List.filter
+    (fun c ->
+      let pid = (vnode c : payload Dht.vnode).Dht.payload.owner in
+      if is_partitioned t pid || Prng.bernoulli t.frng drop then begin
+        m.Messages.dropped <- m.Messages.dropped + 1;
+        false
+      end
+      else late_ok || not t.phys.(pid).straggler)
+    candidates
 
 let charge_retry t =
   let m = Dht.messages t.dht in
@@ -1038,14 +984,10 @@ let apply_crash_bursts t =
           incr m
         end)
       t.phys;
-    let victims =
-      List.map
-        (fun i -> alive.(i))
-        (Sample.indices t.frng ~n:!m ~k:(min count !m))
-    in
-    match t.repl with
-    | None -> List.iter (fail_phys_assumed t) victims
-    | Some _ -> if victims <> [] then crash_machines t victims
+    fail_machines t
+      (List.map
+         (fun i -> alive.(i))
+         (Sample.indices t.frng ~n:!m ~k:(min count !m)))
   end
 
 (* Lazy replica repair ([replicas > 0] only): every [repair_lag] ticks,
@@ -1073,9 +1015,7 @@ let repair_replicas t =
         Dht.iter
           (fun vn ->
             let id = vn.Dht.id in
-            let current =
-              Option.value ~default:[] (Hashtbl.find_opt r.holders id)
-            in
+            let current = holders r id in
             let desired = Dht.k_successors t.dht id t.params.Params.replicas in
             let hs =
               List.filter_map
@@ -1398,100 +1338,24 @@ module For_testing = struct
     let dht = Dht.create () in
     let phys =
       Array.mapi
-        (fun pid (strength, vnode_ids) ->
-          let vnodes =
-            List.map
-              (fun id ->
-                match Dht.join dht ~id ~payload:{ owner = pid } with
-                | Ok vn -> vn
-                | Error `Occupied ->
-                  invalid_arg "State.For_testing.build: duplicate vnode id")
-              vnode_ids
-          in
-          {
-            pid;
-            strength;
-            original_id = (match vnode_ids with id :: _ -> id | [] -> Id.zero);
-            straggler = false;
-            malicious = false;
-            active = vnodes <> [];
-            vnodes;
-            failed_arcs = [];
-            retry_attempts = 0;
-            retry_at = -1;
-            puzzle = None;
-          })
+        (fun pid (strength, ids) ->
+          let original_id = match ids with id :: _ -> id | [] -> Id.zero in
+          machine ~pid ~strength ~original_id
+            (List.map
+               (fun id ->
+                 match Dht.join dht ~id ~payload:{ owner = pid } with
+                 | Ok vn -> vn
+                 | Error `Occupied ->
+                   invalid_arg "State.For_testing.build: duplicate vnode id")
+               ids))
         machines
     in
-    let initial_tasks =
-      match Dht.insert_keys dht (Array.of_list keys) with
-      | Ok n -> n
-      | Error `Empty_ring -> invalid_arg "State.For_testing.build: no vnodes"
-    in
-    (* Mirrors [create]: the hand-built load ships with its backups,
-       charged as replication traffic, with no enrolment-drop draws. *)
-    let repl =
-      if not (Params.recovery_on params) then None
-      else begin
-        let r =
-          {
-            holders = Hashtbl.create 64;
-            backs = Hashtbl.create 64;
-            last_version = -1;
-            last_complete = false;
-          }
-        in
-        let m = Dht.messages dht in
-        Dht.iter
-          (fun vn ->
-            let desired =
-              Dht.k_successors dht vn.Dht.id params.Params.replicas
-            in
-            List.iter
-              (fun _ ->
-                m.Messages.replications <-
-                  m.Messages.replications + Dht.load vn)
-              desired;
-            set_holders r vn.Dht.id
-              (List.map (fun s -> s.Dht.id) desired))
-          dht;
-        r.last_version <- m.Messages.joins + m.Messages.leaves;
-        r.last_complete <- true;
-        Some r
-      end
-    in
-    (* Mirrors [create]: with an arrival plan the hand-placed keys are
-       born at tick 0 so sojourn settlement and the birth-table
-       invariant work on hand-built states too.  Hot centers are not
-       drawn — [For_testing] states place keys by hand. *)
-    let arrivals_on = Arrivals.enabled params.Params.arrivals in
-    let birth = Hashtbl.create (if arrivals_on then 64 else 1) in
-    if arrivals_on then
-      Dht.iter (Dht.iter_keys (fun k -> Hashtbl.replace birth k 0)) dht;
-    {
-      params;
-      dht;
-      phys;
-      rng = Prng.create params.Params.seed;
-      (* Hand-built states skip the fault setup draws: no stragglers, no
-         partition victim.  Drop/burst/retry behavior still works. *)
-      frng = Faults.rng ~seed:params.Params.seed;
-      arng = Arrivals.rng ~seed:params.Params.seed;
-      krng = Attack.rng ~seed:params.Params.seed;
-      partitioned = -1;
-      attackers = [];
-      repl;
-      initial_mean =
-        float_of_int params.Params.tasks /. float_of_int params.Params.nodes;
-      initial_tasks;
-      hot_centers = [||];
-      birth;
-      sojourn_hist = Hashtbl.create (if arrivals_on then 64 else 1);
-      tick = 0;
-      work_done_total = 0;
-      n_active =
-        Array.fold_left (fun acc p -> if p.active then acc + 1 else acc) 0 phys;
-      arrived_total = 0;
-      tick_sojourns = [];
-    }
+    (* Hand-built states skip every setup draw: no stragglers, no
+       partition victim, no attackers, no hot centers.  Drop, burst and
+       retry behavior still works. *)
+    let seed = params.Params.seed in
+    assemble params ~dht ~phys ~rng:(Prng.create seed)
+      ~frng:(Faults.rng ~seed) ~arng:(Arrivals.rng ~seed)
+      ~krng:(Attack.rng ~seed) ~partitioned:(-1) ~attackers:[]
+      ~hot_centers:[||] (Array.of_list keys)
 end

@@ -298,12 +298,16 @@ val can_decide : t -> int -> bool
     window — and a malicious machine runs no honest balancing logic
     while its attack plan is active. *)
 
-val reply_outcome : t -> from_pid:int -> [ `Ok | `Dropped | `Delayed ]
-(** Fate of one control-plane reply sent by [from_pid].  Partitioned
-    sender ⇒ [`Dropped] (no draw); otherwise lost with probability
-    [drop] (one fault-stream draw iff [0 < drop < 1]); otherwise
-    [`Delayed] iff the sender is a straggler.  Charges the [dropped]
-    counter internally.  Data-plane traffic (joins, key transfers,
+val heard :
+  t -> late_ok:bool -> ('a -> payload Dht.vnode) -> 'a list -> 'a list
+(** [heard t ~late_ok vnode candidates] is one query round's replies:
+    the candidates, in order, whose reply from [vnode c]'s owner
+    arrives.  Every candidate's reply takes its fate in order, even
+    after a miss (the queries went out in parallel): a partitioned
+    sender is lost with no draw; otherwise the reply is lost with
+    probability [drop] (one fault-stream draw iff [0 < drop < 1]); a
+    straggler's late reply then counts iff [late_ok].  Each lost reply
+    charges [dropped].  Data-plane traffic (joins, key transfers,
     recovery) never passes through here — faults cannot lose keys. *)
 
 val charge_retry : t -> unit

@@ -21,7 +21,13 @@
 
    4. ROBUSTNESS: fault plans keep runs deterministic across domain
       counts, and crash bursts / drops / stragglers never violate key
-      conservation (checked every tick via [check_every_tick]). *)
+      conservation (checked every tick via [check_every_tick]).
+
+   5. THE REPLY ROUND: [State.heard], the one rule every strategy's
+      query round goes through, takes exactly one drop draw per
+      reachable candidate in order (a miss never skips the rest), drops
+      a partitioned sender without a draw, and counts a straggler's
+      late reply iff asked to. *)
 
 (* ---- 1. golden pins: Faults.none == the pre-fault engine ---------- *)
 
@@ -458,6 +464,103 @@ let test_run_repeatable () =
   in
   if run () <> run () then Alcotest.fail "faulted run not repeatable"
 
+(* ---- 5. the reply round ------------------------------------------ *)
+
+let all_vnodes (s : State.t) =
+  List.concat_map
+    (fun (p : State.phys) -> p.State.vnodes)
+    (Array.to_list s.State.phys)
+
+let dropped (s : State.t) = (Dht.messages s.State.dht).Messages.dropped
+
+(* A twin of the fault stream, advanced by one bernoulli per candidate,
+   predicts every fate and must end where the state's stream ends.  The
+   seed is one whose drops come early, so candidates after a drop are
+   checked too. *)
+let test_heard_draws_every_candidate () =
+  let seed = 4 and drop = 0.5 in
+  let params =
+    {
+      (Params.default ~nodes:6 ~tasks:6) with
+      Params.seed;
+      faults = { Faults.none with Faults.drop };
+    }
+  in
+  let state =
+    State.For_testing.build ~params
+      ~machines:
+        (Array.init 6 (fun i ->
+             (1, [ Id.of_fraction (float_of_int i /. 6.0) ])))
+      ~keys:[]
+  in
+  let candidates = all_vnodes state in
+  let twin = Faults.rng ~seed in
+  let fates = List.map (fun _ -> Prng.bernoulli twin drop) candidates in
+  (match List.rev fates with
+  | _ :: earlier when List.mem true earlier -> ()
+  | _ -> Alcotest.fail "seed gives no drop before the last candidate");
+  let heard = State.heard state ~late_ok:false Fun.id candidates in
+  Alcotest.(check (list string))
+    "heard = the candidates the twin did not drop"
+    (List.filter_map
+       (fun (vn, lost) -> if lost then None else Some (Id.to_hex vn.Dht.id))
+       (List.combine candidates fates))
+    (List.map (fun vn -> Id.to_hex vn.Dht.id) heard);
+  Alcotest.(check bool) "one draw per candidate" true
+    (Prng.state_equal (Prng.capture twin) (Prng.capture state.State.frng));
+  Alcotest.(check int) "each loss charged"
+    (List.length (List.filter Fun.id fates))
+    (dropped state)
+
+(* The partition victim's reply is lost with no draw, even at
+   0 < drop < 1. *)
+let test_heard_partitioned () =
+  let params =
+    {
+      (Params.default ~nodes:6 ~tasks:60) with
+      Params.seed = 9;
+      faults = { Faults.none with Faults.drop = 0.5; partition = Some (0, 10) };
+    }
+  in
+  let state = State.create params in
+  let victim = state.State.phys.(state.State.partitioned).State.vnodes in
+  let before = Prng.capture state.State.frng in
+  Alcotest.(check int) "victim unheard" 0
+    (List.length (State.heard state ~late_ok:true Fun.id victim));
+  Alcotest.(check bool) "no draw" true
+    (Prng.state_equal before (Prng.capture state.State.frng));
+  Alcotest.(check int) "loss charged" 1 (dropped state)
+
+(* With a reliable network a straggler's reply is only late: it counts
+   iff [late_ok], and no fate draws anything. *)
+let test_heard_stragglers () =
+  let params =
+    {
+      (Params.default ~nodes:8 ~tasks:80) with
+      Params.seed = 2;
+      faults = { Faults.none with Faults.stragglers = 8 };
+    }
+  in
+  let state = State.create params in
+  let candidates = all_vnodes state in
+  let straggles (vn : State.payload Dht.vnode) =
+    state.State.phys.(vn.Dht.payload.State.owner).State.straggler
+  in
+  if List.for_all straggles candidates || not (List.exists straggles candidates)
+  then Alcotest.fail "seed gives no mix of stragglers and prompt machines";
+  let before = Prng.capture state.State.frng in
+  let ids =
+    List.map (fun (vn : State.payload Dht.vnode) -> Id.to_hex vn.Dht.id)
+  in
+  Alcotest.(check (list string)) "late replies count" (ids candidates)
+    (ids (State.heard state ~late_ok:true Fun.id candidates));
+  Alcotest.(check (list string)) "late replies miss"
+    (ids (List.filter (fun vn -> not (straggles vn)) candidates))
+    (ids (State.heard state ~late_ok:false Fun.id candidates));
+  Alcotest.(check bool) "no draw" true
+    (Prng.state_equal before (Prng.capture state.State.frng));
+  Alcotest.(check int) "nothing lost" 0 (dropped state)
+
 let () =
   Alcotest.run "faults"
     [
@@ -490,5 +593,14 @@ let () =
           Alcotest.test_case "conservation under crash bursts" `Quick
             test_conservation_under_faults;
           Alcotest.test_case "faulted run repeatable" `Quick test_run_repeatable;
+        ] );
+      ( "reply round",
+        [
+          Alcotest.test_case "one draw per candidate, even after a drop"
+            `Quick test_heard_draws_every_candidate;
+          Alcotest.test_case "partitioned sender dropped without a draw"
+            `Quick test_heard_partitioned;
+          Alcotest.test_case "late reply counts iff late_ok" `Quick
+            test_heard_stragglers;
         ] );
     ]

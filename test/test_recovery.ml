@@ -26,7 +26,11 @@
    4. CONSERVATION-OR-LOST: with recovery on, every strategy under
       churn + failures + crash bursts satisfies
       [done + remaining + tasks_lost = initial] after every tick
-      ([check_every_tick]), and the run still terminates. *)
+      ([check_every_tick]), and the run still terminates.
+
+   5. INITIAL ENROLMENT: both constructors back every vnode's initial
+      tasks on exactly its [replicas] ring successors and charge one
+      replication per task per holder. *)
 
 (* ---- 1. golden pins: replicas = 0 == the pre-recovery engine ------ *)
 
@@ -420,6 +424,59 @@ let test_conservation_or_lost () =
         + m.Messages.tasks_lost))
     Strategy.all
 
+(* ---- 5. initial enrolment: one bulk pass for both constructors ---- *)
+
+let check_enrolment name (s : State.t) =
+  let dht = s.State.dht in
+  let replicas = s.State.params.Params.replicas in
+  let charged = ref 0 in
+  Dht.iter
+    (fun vn ->
+      let id = vn.Dht.id in
+      let holders = State.replica_holders s id in
+      let successors =
+        List.map
+          (fun (h : State.payload Dht.vnode) -> h.Dht.id)
+          (Dht.k_successors dht id replicas)
+      in
+      if not (List.equal Id.equal holders successors) then
+        Alcotest.failf "%s: vnode %s is backed by [%s], its successors are [%s]"
+          name (Id.to_hex id)
+          (String.concat "; " (List.map Id.to_hex holders))
+          (String.concat "; " (List.map Id.to_hex successors));
+      charged := !charged + (List.length holders * Dht.load vn))
+    dht;
+  Alcotest.(check int)
+    (name ^ ": replications = sum of holders x load")
+    !charged (Dht.messages dht).Messages.replications
+
+let test_initial_enrolment () =
+  let f = Id.of_fraction in
+  List.iter
+    (fun replicas ->
+      let params =
+        { (Params.default ~nodes:30 ~tasks:600) with Params.replicas; seed = 3 }
+      in
+      let name what = Printf.sprintf "%s, replicas %d" what replicas in
+      check_enrolment (name "create") (State.create params);
+      (* Sybil vnodes, a waiting machine, the wrap past zero, and a
+         two-vnode ring where [replicas] exceeds the other vnodes. *)
+      check_enrolment (name "hand-built")
+        (State.For_testing.build ~params
+           ~machines:
+             [|
+               (1, [ f 0.1; f 0.5 ]);
+               (1, [ f 0.2 ]);
+               (3, [ f 0.35; f 0.7; f 0.9 ]);
+               (1, []);
+             |]
+           ~keys:(List.init 40 (fun i -> f ((float_of_int i +. 0.5) /. 40.0))));
+      check_enrolment (name "two-vnode")
+        (State.For_testing.build ~params
+           ~machines:[| (1, [ f 0.25 ]); (1, [ f 0.75 ]) |]
+           ~keys:[ f 0.1; f 0.5; f 0.6; f 0.9 ]))
+    [ 1; 2; 3 ]
+
 let () =
   Alcotest.run "recovery"
     [
@@ -448,5 +505,10 @@ let () =
         [
           Alcotest.test_case "conserved-or-accounted-lost, all strategies"
             `Quick test_conservation_or_lost;
+        ] );
+      ( "enrolment",
+        [
+          Alcotest.test_case "holders = successors, both constructors" `Quick
+            test_initial_enrolment;
         ] );
     ]

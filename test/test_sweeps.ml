@@ -167,6 +167,14 @@ let refusals =
     case "multi-trial --trace-csv" [ "simulate"; "--trace-csv"; "trace.csv" ] ~code:2
       ~message:
         "--trace-csv requires --trials 1 (--trace-out csv:FILE writes one CSV per trial)";
+    case "--checkpoint-every 0"
+      [ "stream"; "--checkpoint-every"; "0" ]
+      ~code:124 ~message:(positive "--checkpoint-every");
+    case "--checkpoint-every without --checkpoint"
+      [ "stream"; "--checkpoint-every"; "5" ]
+      ~code:2 ~message:"--checkpoint-every requires --checkpoint FILE";
+    case "--resume without --checkpoint" [ "stream"; "--resume" ] ~code:2
+      ~message:"--resume requires --checkpoint FILE";
   ]
 
 let () =
