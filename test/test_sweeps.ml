@@ -1,5 +1,5 @@
-(* Byte-exact goldens for every sweep, and the CLI's refusal of bad
-   sweep and runner flags.
+(* Byte-exact goldens for every sweep and every paper result table, and
+   the CLI's refusal of bad sweep and runner flags.
 
    The five CLI sweeps run through the real binary at one trial, seed 11,
    with --csv, --journal and (where offered) --json; stdout, the CSV file
@@ -7,7 +7,9 @@
    churn sweep is too heavy at its default grid, so it is pinned at
    library level on a reduced grid: table, CSV and journal.  Feeding each
    golden journal back must recompute nothing: the journal stays
-   byte-identical and the output still matches.
+   byte-identical and the output still matches.  The paper's result
+   tables (summary, every ablate name, messages) and one small compare
+   pin their stdout only.
 
    Regenerate only for an intended output change, and record it in
    CHANGES.md:
@@ -38,20 +40,28 @@ let cli_sweeps =
     ("head-to-head", [ "--json" ]);
   ]
 
+(* The binary's stdout for [args]; a non-zero exit fails the test. *)
+let run_stdout args =
+  let out = temp ".stdout" in
+  let code =
+    Sys.command (Filename.quote_command dhtlb ~stdout:out ~stderr:Filename.null args)
+  in
+  if code <> 0 then Alcotest.failf "%s exited %d" (String.concat " " args) code;
+  let s = read_file out in
+  Sys.remove out;
+  s
+
 (* Runs one sweep against [journal] (created when missing); returns
    stdout, the CSV and the journal as written. *)
 let run_cli (cmd, extra) ~journal =
-  let out = temp ".stdout" and csv = temp ".csv" in
-  let code =
-    Sys.command
-      (Filename.quote_command dhtlb ~stdout:out ~stderr:Filename.null
-         ([ cmd; "--trials"; "1"; "--seed"; "11"; "--csv"; csv; "--journal";
-            journal ]
-         @ extra))
+  let csv = temp ".csv" in
+  let stdout =
+    run_stdout
+      ([ cmd; "--trials"; "1"; "--seed"; "11"; "--csv"; csv; "--journal"; journal ]
+      @ extra)
   in
-  if code <> 0 then Alcotest.failf "%s exited %d" cmd code;
-  let r = (read_file out, read_file csv, read_file journal) in
-  List.iter Sys.remove [ out; csv ];
+  let r = (stdout, read_file csv, read_file journal) in
+  Sys.remove csv;
   r
 
 (* Table II on a 3 × 2 grid, two trials per cell; the configs are listed
@@ -89,12 +99,42 @@ let outputs () =
   Sys.remove journal;
   [ ("churn.table", table); ("churn.csv", csv); ("churn.jsonl", jsonl) ]
 
+(* Every ablate name, in the order the CLI lists them. *)
+let ablate_names =
+  [
+    "threshold"; "maxsybils"; "successors"; "churn-ri"; "median-split";
+    "avoid-repeats"; "rejoin-id"; "strength-aware"; "clustered"; "stagger";
+    "static-vnodes"; "failure-churn";
+  ]
+
+(* (golden name, arguments) of each paper result table at one trial,
+   seed 11, and of compare on a small network.  summary ri and ablate
+   threshold each run 1e6-task rows, so the case is [`Slow]. *)
+let paper_runs =
+  let at_one args = args @ [ "--trials"; "1"; "--seed"; "11" ] in
+  List.map (fun w -> ("summary-" ^ w, at_one [ "summary"; w ])) [ "ri"; "ni"; "inv" ]
+  @ List.map (fun w -> ("ablate-" ^ w, at_one [ "ablate"; w ])) ablate_names
+  @ [
+      ("messages", [ "messages"; "--seed"; "11" ]);
+      ( "compare",
+        [ "compare"; "--nodes"; "200"; "--tasks"; "4000"; "--trials"; "2"; "--seed"; "11" ]
+      );
+    ]
+
+let paper_outputs () =
+  List.map (fun (name, args) -> (name ^ ".stdout", run_stdout args)) paper_runs
+
 let golden name = read_file (Filename.concat (Filename.concat here "goldens") name)
 
 let test_fresh () =
   List.iter
     (fun (name, got) -> Alcotest.(check string) name (golden name) got)
     (outputs ())
+
+let test_paper () =
+  List.iter
+    (fun (name, got) -> Alcotest.(check string) name (golden name) got)
+    (paper_outputs ())
 
 (* Resuming from a complete golden journal: any recomputed cell would
    append a line, so an unchanged journal proves zero recomputation. *)
@@ -119,7 +159,9 @@ let test_resume () =
 
 (* Bad sweep and runner flags are refused up front: converter errors
    exit 124 with cmdliner's usage hint, environment and file errors exit
-   2 with one line on stderr.  [env] prefixes the command line. *)
+   2 with one line on stderr.  [env] prefixes the command line.
+   Cmdliner wraps long messages, so the 124 check reads stderr with
+   every whitespace run as one space. *)
 let refuse ?(env = "") args ~code ~message () =
   let err = temp ".stderr" in
   let got =
@@ -130,8 +172,15 @@ let refuse ?(env = "") args ~code ~message () =
   Sys.remove err;
   Alcotest.(check int) "exit code" code got;
   if code = 2 then Alcotest.(check string) "one-line message" (message ^ "\n") stderr
-  else if not (String.starts_with ~prefix:("dhtlb: " ^ message) stderr) then
-    Alcotest.failf "stderr %S lacks %S" stderr message
+  else
+    let words =
+      String.concat " "
+        (List.filter (( <> ) "")
+           (String.split_on_char ' '
+              (String.map (function '\n' | '\t' -> ' ' | c -> c) stderr)))
+    in
+    if not (String.starts_with ~prefix:("dhtlb: " ^ message) words) then
+      Alcotest.failf "stderr %S lacks %S" stderr message
 
 let refusals =
   let case name ?env args ~code ~message =
@@ -175,6 +224,12 @@ let refusals =
       ~code:2 ~message:"--checkpoint-every requires --checkpoint FILE";
     case "--resume without --checkpoint" [ "stream"; "--resume" ] ~code:2
       ~message:"--resume requires --checkpoint FILE";
+    case "ablate bogus" [ "ablate"; "bogus" ] ~code:124
+      ~message:
+        "WHICH argument: invalid value 'bogus', expected one of 'threshold', \
+         'maxsybils', 'successors', 'churn-ri', 'median-split', 'avoid-repeats', \
+         'rejoin-id', 'strength-aware', 'clustered', 'stagger', 'static-vnodes' \
+         or 'failure-churn'";
   ]
 
 let () =
@@ -182,7 +237,7 @@ let () =
   | [| _; "regen"; dir |] ->
     List.iter
       (fun (name, s) -> write_file (Filename.concat dir name) s)
-      (outputs ())
+      (outputs () @ paper_outputs ())
   | _ ->
     Alcotest.run "sweeps"
       [
@@ -190,6 +245,7 @@ let () =
           [
             Alcotest.test_case "fresh run" `Quick test_fresh;
             Alcotest.test_case "resume from journal" `Quick test_resume;
+            Alcotest.test_case "paper result tables" `Slow test_paper;
           ] );
         ("refusals", refusals);
       ]
