@@ -108,7 +108,9 @@ let pivot ?title ~corner ~width ~row ~row_label ~col ~col_label ~cell_width rows
   let add = Buffer.add_string buf in
   let distinct f = List.sort_uniq compare (List.map f rows) in
   let cols = distinct col in
-  Option.iter (fun title -> add (Harness.header title)) title;
+  Option.iter
+    (fun t -> add (Printf.sprintf "%s\n%s\n" t (String.make (String.length t) '-')))
+    title;
   add (Printf.sprintf "%-*s" width corner);
   List.iter (fun c -> add (" | " ^ col_label c)) cols;
   add "\n";

@@ -89,12 +89,26 @@ let test_figure_dispatch () =
   | Ok s -> Alcotest.(check bool) "fig4 ok" true (contains s "Figure 4")
   | Error e -> Alcotest.fail e
 
-let test_harness_row () =
-  let params = Params.default ~nodes:50 ~tasks:500 in
-  let agg = Harness.aggregate ~trials:2 params Strategy.No_strategy in
-  let row = Harness.row ~label:"probe" agg in
-  Alcotest.(check bool) "has label" true (contains row "probe");
-  Alcotest.(check bool) "has factor" true (contains row "factor=")
+let test_paper_rows_render () =
+  let section =
+    {
+      Paper_rows.name = "probe";
+      group = "test";
+      title = "Probe";
+      single = None;
+      rows =
+        [
+          Paper_rows.Note "-- a note";
+          Paper_rows.Cell
+            ("probe", Params.default ~nodes:50 ~tasks:500, Strategy.No_strategy);
+        ];
+    }
+  in
+  match String.split_on_char '\n' (Paper_rows.render ~trials:2 ~seed:42 section) with
+  | [ "Probe"; "-----"; "  -- a note"; row; "" ] ->
+    Alcotest.(check bool) "has label" true (String.starts_with ~prefix:"  probe " row);
+    Alcotest.(check bool) "has factor" true (contains row "factor=")
+  | lines -> Alcotest.failf "unexpected table %S" (String.concat "\n" lines)
 
 let test_scale_defaults () =
   (* These read the environment; in the test environment no DHTLB_* vars
@@ -266,7 +280,7 @@ let () =
           Alcotest.test_case "churn sweep" `Quick test_churn_sweep_small;
           Alcotest.test_case "paired figure" `Quick test_paired_figure_small;
           Alcotest.test_case "figure dispatch" `Slow test_figure_dispatch;
-          Alcotest.test_case "harness row" `Quick test_harness_row;
+          Alcotest.test_case "paper rows render" `Quick test_paper_rows_render;
           Alcotest.test_case "scale" `Quick test_scale_defaults;
         ] );
       ( "robustness",
