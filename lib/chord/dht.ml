@@ -452,30 +452,22 @@ let join t ~id ~payload =
 let leave t id =
   let pos = locate t id in
   if pos < 0 then Error `Not_member
+  else if t.size = 1 then Error `Last_node
   else begin
     let vn = vnode_at t pos in
-    if t.size = 1 then
-      if vn.nkeys = 0 then begin
-        t.messages.leaves <- t.messages.leaves + 1;
-        remove_at t pos;
-        Ok ()
-      end
-      else Error `Last_node
-    else begin
-      t.messages.leaves <- t.messages.leaves + 1;
-      let succ = vnode_at t (next t pos) in
-      remove_at t pos;
-      let moved = vn.nkeys in
-      if moved > 0 then begin
-        ignore (absorb succ moved vn.packed);
-        t.messages.key_transfers <- t.messages.key_transfers + moved
-      end;
-      (* The record is out of the ring; empty it so a caller still
-         holding it cannot read phantom workload. *)
-      vn.nkeys <- 0;
-      vn.packed <- Bytes.empty;
-      Ok ()
-    end
+    t.messages.leaves <- t.messages.leaves + 1;
+    let succ = vnode_at t (next t pos) in
+    remove_at t pos;
+    let moved = vn.nkeys in
+    if moved > 0 then begin
+      ignore (absorb succ moved vn.packed);
+      t.messages.key_transfers <- t.messages.key_transfers + moved
+    end;
+    (* The record is out of the ring; empty it so a caller still
+       holding it cannot read phantom workload. *)
+    vn.nkeys <- 0;
+    vn.packed <- Bytes.empty;
+    Ok ()
   end
 
 (* Ungraceful removal: the vnode vanishes with no key handover.  Its

@@ -55,8 +55,10 @@ val join : 'a t -> id:Id.t -> payload:'a -> ('a vnode, [ `Occupied ]) result
 
 val leave : 'a t -> Id.t -> (unit, [ `Not_member | `Last_node ]) result
 (** Remove a vnode, handing its keys to its successor.  Refuses to remove
-    the last vnode while it still holds keys ([`Last_node]): the paper's
-    networks never drain completely because joins and leaves balance. *)
+    the last vnode, even a keyless one ([`Last_node]): the paper's
+    networks never drain completely because joins and leaves balance,
+    and a ring emptied by a leave would have no owner for the next
+    inserted key. *)
 
 type keys
 (** The keys a crashed vnode held, detached from the ring. *)

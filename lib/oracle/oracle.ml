@@ -301,27 +301,19 @@ let join o ~id ~owner =
 let leave o id =
   match find_vnode o id with
   | None -> Error `Not_member
+  | Some _ when ring_size o = 1 -> Error `Last_node
   | Some vn ->
-    if ring_size o = 1 then
-      if vn.keys = [] then begin
-        o.msgs.leaves <- o.msgs.leaves + 1;
-        o.ring <- [];
-        Ok ()
+    o.msgs.leaves <- o.msgs.leaves + 1;
+    o.ring <- List.filter (fun v -> not (Id.equal v.id id)) o.ring;
+    (match successor o id with
+    | Some succ ->
+      let moved = List.length vn.keys in
+      if moved > 0 then begin
+        succ.keys <- merge_sorted succ.keys vn.keys;
+        o.msgs.key_transfers <- o.msgs.key_transfers + moved
       end
-      else Error `Last_node
-    else begin
-      o.msgs.leaves <- o.msgs.leaves + 1;
-      o.ring <- List.filter (fun v -> not (Id.equal v.id id)) o.ring;
-      (match successor o id with
-      | Some succ ->
-        let moved = List.length vn.keys in
-        if moved > 0 then begin
-          succ.keys <- merge_sorted succ.keys vn.keys;
-          o.msgs.key_transfers <- o.msgs.key_transfers + moved
-        end
-      | None -> assert false);
-      Ok ()
-    end
+    | None -> assert false);
+    Ok ()
 
 let arrivals_on o = Arrivals.enabled o.params.Params.arrivals
 

@@ -508,8 +508,8 @@ let rec without vn = function
   | [] -> []
   | v :: rest -> if v == vn then rest else v :: without vn rest
 
-(* [false], changing nothing, when [vn] is the ring's last key-holding
-   vnode: someone must hold the keys. *)
+(* [false], changing nothing, when [vn] is the ring's last vnode:
+   someone must hold the keys, and receive the next arrivals. *)
 let leave_vnode t p (vn : payload Dht.vnode) =
   match Dht.leave t.dht vn.Dht.id with
   | Error `Last_node -> false
@@ -591,7 +591,7 @@ let retire_sybils t pid =
         sybils
 
 (* Departure of a whole machine: Sybils leave first, then the primary.
-   The primary survives only if it is the ring's last key-holding vnode. *)
+   The primary survives only if it is the ring's last vnode. *)
 let leave_phys t pid =
   let p = t.phys.(pid) in
   retire_sybils t pid;
@@ -626,7 +626,7 @@ let join_phys t pid =
    strategy-stream draws; it charges the leave, the join, both key
    handovers, and the join's lookup at the post-leave ring size.
    Refused — a deterministic no-op with no charges — when the target id
-   is occupied or the leaver is the ring's last key-holding vnode. *)
+   is occupied or the leaver is the ring's last vnode. *)
 let relocate_phys t pid ~id =
   let p = t.phys.(pid) in
   match p.vnodes with
@@ -699,8 +699,8 @@ let crash_machines t r pids =
    transfer of every key the dead machine held (the paper's
    active-backup assumption makes the fetch always succeed).  Recovery
    is billed only if the machine actually departs: the ring's last
-   key-holding vnode refuses the departure (`Last_node) and keeps
-   serving its keys, so there is nothing to recover. *)
+   vnode refuses the departure (`Last_node) and keeps serving its keys,
+   so there is nothing to recover. *)
 let fail_machines t pids =
   match t.repl with
   | Some r -> crash_machines t r pids

@@ -152,7 +152,7 @@ val relocate_phys : t -> int -> id:Id.t -> bool
     draws.  Charges the leave, the join, both key handovers, and the
     join's lookup hops at the post-leave ring size.  [false] — no
     charges, no state change — when refused (Sybils held, target
-    occupied, or the leaver is the ring's last key-holding vnode). *)
+    occupied, or the leaver is the ring's last vnode). *)
 
 val create_sybil : t -> int -> Id.t -> bool
 (** [create_sybil t pid id] joins a Sybil vnode for machine [pid] at
@@ -174,8 +174,7 @@ val retire_sybils : t -> int -> unit
 val leave_phys : t -> int -> unit
 (** Graceful departure of a whole machine: Sybils retire, then the
     primary leaves with key handover.  The primary stays (and the
-    machine remains active) only if it is the ring's last key-holding
-    vnode. *)
+    machine remains active) only if it is the ring's last vnode. *)
 
 val join_phys : t -> int -> unit
 (** A waiting machine rejoins at a fresh id ([rejoin_fresh_id]) or its
@@ -188,8 +187,8 @@ val fail_phys : t -> int -> unit
 (** Ungraceful death.  With [replicas = 0] (the paper's assumed-reliable
     data plane): all vnodes depart without handover and the keys the
     machine held are re-fetched from successor-list replicas, charging
-    [key_transfers] for each; if the departure is refused (last
-    key-holding vnode) the machine stays and {e nothing} is charged.
+    [key_transfers] for each; if the departure is refused (the ring's
+    last vnode) the machine stays and {e nothing} is charged.
     With [replicas > 0] the machine dies as a one-machine crash event:
     each vnode's tasks are recovered from the live replica map iff a
     holder outlives the event (a [key_transfers] fetch per task) and

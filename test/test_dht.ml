@@ -60,11 +60,12 @@ let test_leave_last_node () =
   (match Dht.leave dht (i 100) with
   | Error `Last_node -> ()
   | _ -> Alcotest.fail "must protect the last key holder");
-  (* consume the key, then leaving is allowed *)
+  (* consume the key: the keyless last vnode must still stay, or the
+     next insert would find an empty ring *)
   let _ = consume dht (i 100) 1 in
   match Dht.leave dht (i 100) with
-  | Ok () -> Alcotest.(check int) "empty" 0 (Dht.size dht)
-  | Error _ -> Alcotest.fail "empty last node may leave"
+  | Error `Last_node -> Alcotest.(check int) "still a member" 1 (Dht.size dht)
+  | _ -> Alcotest.fail "the last vnode must stay even when keyless"
 
 let test_leave_not_member () =
   let dht = mk_dht [ 100 ] [] in
@@ -396,7 +397,7 @@ let prop_index_matches_ring =
           | M_leave n -> (
             let id = pool.(n) in
             let member = Ring.mem id !ring in
-            let last = Ring.cardinal !ring = 1 && not (Keys.is_empty !keys) in
+            let last = Ring.cardinal !ring = 1 in
             match Dht.leave dht id with
             | Ok () when member && not last -> ring := Ring.remove id !ring
             | Error `Not_member when not member -> ()

@@ -735,6 +735,32 @@ let fault_scenarios =
         faults =
           { Faults.none with
             Faults.crash_bursts = [ { Faults.at = 4; count = 10 } ] } } );
+    (* Live replication off, two machines, no initial tasks: a failure
+       must not take the ring's last vnode with it, even a keyless one.
+       When it did, the ring emptied and the next burst of arrivals was
+       charged to tasks_lost. *)
+    ( "recovery-off-last-vnode",
+      { fault_base with
+        nodes = 2;
+        tasks = 0;
+        churn = 0.0;
+        fail = 0.1;
+        hetero = false;
+        strength_work = false;
+        sybil_threshold = 0;
+        period = 1;
+        stagger = false;
+        avoid_repeats = false;
+        max_ticks_factor = 5;
+        seed = 403588;
+        arrivals =
+          { Arrivals.none with
+            Arrivals.profile =
+              Some
+                (Arrivals.Bursty
+                   { rate = 0.5; burst_rate = 6.0; on = 1; off = 3 });
+            horizon = 9;
+            window = 8 } } );
   ]
 
 (* Deterministic open-system scenarios, every strategy: the oracle must

@@ -233,7 +233,7 @@ let test_failed_arc_memory () =
 let ids = List.map Id.of_int
 
 let test_fail_last_node_charges_nothing () =
-  (* The ring's last key-holding vnode refuses the departure: the
+  (* The ring's last vnode refuses the departure: the
      machine survives and recovers nothing, so neither handover nor
      replica-recovery traffic may be charged. *)
   let params = Params.default ~nodes:1 ~tasks:3 in
