@@ -12,7 +12,7 @@ type ctx = {
   block : bytes; (* 64-byte staging buffer *)
   mutable fill : int; (* bytes currently staged *)
   mutable total : int; (* total bytes absorbed *)
-  w : int array; (* 80-entry message schedule, reused *)
+  w : int array; (* 16-word circular message schedule, reused *)
 }
 
 let init () =
@@ -25,133 +25,14 @@ let init () =
     block = Bytes.create 64;
     fill = 0;
     total = 0;
-    w = Array.make 80 0;
+    w = Array.make 16 0;
   }
 
 let rotl32 x n = ((x lsl n) lor (x lsr (32 - n))) land mask32
 
-let compress ctx block off =
-  let w = ctx.w in
-  for i = 0 to 15 do
-    let j = off + (i * 4) in
-    w.(i) <-
-      (Char.code (Bytes.unsafe_get block j) lsl 24)
-      lor (Char.code (Bytes.unsafe_get block (j + 1)) lsl 16)
-      lor (Char.code (Bytes.unsafe_get block (j + 2)) lsl 8)
-      lor Char.code (Bytes.unsafe_get block (j + 3))
-  done;
-  for i = 16 to 79 do
-    w.(i) <- rotl32 (w.(i - 3) lxor w.(i - 8) lxor w.(i - 14) lxor w.(i - 16)) 1
-  done;
-  let a = ref ctx.h0
-  and b = ref ctx.h1
-  and c = ref ctx.h2
-  and d = ref ctx.h3
-  and e = ref ctx.h4 in
-  for i = 0 to 79 do
-    let f, k =
-      if i < 20 then (((!b land !c) lor (lnot !b land !d)) land mask32, 0x5a827999)
-      else if i < 40 then (!b lxor !c lxor !d, 0x6ed9eba1)
-      else if i < 60 then
-        ((!b land !c) lor (!b land !d) lor (!c land !d), 0x8f1bbcdc)
-      else (!b lxor !c lxor !d, 0xca62c1d6)
-    in
-    let temp = (rotl32 !a 5 + (f land mask32) + !e + k + w.(i)) land mask32 in
-    e := !d;
-    d := !c;
-    c := rotl32 !b 30;
-    b := !a;
-    a := temp
-  done;
-  ctx.h0 <- (ctx.h0 + !a) land mask32;
-  ctx.h1 <- (ctx.h1 + !b) land mask32;
-  ctx.h2 <- (ctx.h2 + !c) land mask32;
-  ctx.h3 <- (ctx.h3 + !d) land mask32;
-  ctx.h4 <- (ctx.h4 + !e) land mask32
-
-let feed_bytes ctx ?(off = 0) ?len src =
-  let len = match len with Some l -> l | None -> Bytes.length src - off in
-  if off < 0 || len < 0 || off + len > Bytes.length src then
-    invalid_arg "Sha1.feed_bytes: bad bounds";
-  ctx.total <- ctx.total + len;
-  let pos = ref off and remaining = ref len in
-  (* Top up a partially filled staging block first. *)
-  if ctx.fill > 0 then begin
-    let take = min !remaining (64 - ctx.fill) in
-    Bytes.blit src !pos ctx.block ctx.fill take;
-    ctx.fill <- ctx.fill + take;
-    pos := !pos + take;
-    remaining := !remaining - take;
-    if ctx.fill = 64 then begin
-      compress ctx ctx.block 0;
-      ctx.fill <- 0
-    end
-  end;
-  while !remaining >= 64 do
-    compress ctx src !pos;
-    pos := !pos + 64;
-    remaining := !remaining - 64
-  done;
-  if !remaining > 0 then begin
-    Bytes.blit src !pos ctx.block ctx.fill !remaining;
-    ctx.fill <- ctx.fill + !remaining
-  end
-
-let feed_string ctx ?(off = 0) ?len src =
-  let len = match len with Some l -> l | None -> String.length src - off in
-  if off < 0 || len < 0 || off + len > String.length src then
-    invalid_arg "Sha1.feed_string: bad bounds";
-  feed_bytes ctx ~off ~len (Bytes.unsafe_of_string src)
-
-let get ctx =
-  let clone =
-    {
-      ctx with
-      block = Bytes.copy ctx.block;
-      w = Array.make 80 0;
-    }
-  in
-  let bitlen = clone.total * 8 in
-  let pad_len =
-    let r = (clone.total + 1) mod 64 in
-    if r <= 56 then 56 - r else 120 - r
-  in
-  let tail = Bytes.make (1 + pad_len + 8) '\x00' in
-  Bytes.set tail 0 '\x80';
-  for i = 0 to 7 do
-    Bytes.set tail
-      (1 + pad_len + i)
-      (Char.chr ((bitlen lsr (8 * (7 - i))) land 0xff))
-  done;
-  feed_bytes clone tail;
-  assert (clone.fill = 0);
-  let out = Bytes.create 20 in
-  let put i v =
-    Bytes.set out i (Char.chr ((v lsr 24) land 0xff));
-    Bytes.set out (i + 1) (Char.chr ((v lsr 16) land 0xff));
-    Bytes.set out (i + 2) (Char.chr ((v lsr 8) land 0xff));
-    Bytes.set out (i + 3) (Char.chr (v land 0xff))
-  in
-  put 0 clone.h0;
-  put 4 clone.h1;
-  put 8 clone.h2;
-  put 12 clone.h3;
-  put 16 clone.h4;
-  Bytes.unsafe_to_string out
-
-let digest_string s =
-  let ctx = init () in
-  feed_string ctx s;
-  get ctx
-
-(* One-shot digest of a short input — at most 55 bytes, so message,
-   0x80 terminator and the 8-byte length all fit a single padded block.
-   Produces exactly the init/feed/get digest while allocating only the
-   staging block, a 16-word circular schedule and the output: keygen
-   hashes millions of 16-byte seeds during setup, and the ctx path's
-   per-digest ctx + 80-word schedule + clone dominated minor-heap
-   traffic there. *)
-(* The four round groups as mutually tail-recursive functions: the five
+(* The 80 rounds of one block, shared by [compress] and [digest_short]:
+   [w] is a 16-word circular schedule that starts out holding the block.
+   The four round groups are mutually tail-recursive functions: the five
    chaining words travel as arguments — registers, not ref cells — and
    each group has its fixed f/k instead of a per-round comparison chain.
    Round i passes (temp, a, rotl30 b, c, d) along.  The circular
@@ -237,6 +118,99 @@ and rounds4 w i a b c d e =
       a (rotl32 b 30) c d
   end
 
+let compress ctx block off =
+  let w = ctx.w in
+  for i = 0 to 15 do
+    let j = off + (i * 4) in
+    w.(i) <-
+      (Char.code (Bytes.unsafe_get block j) lsl 24)
+      lor (Char.code (Bytes.unsafe_get block (j + 1)) lsl 16)
+      lor (Char.code (Bytes.unsafe_get block (j + 2)) lsl 8)
+      lor Char.code (Bytes.unsafe_get block (j + 3))
+  done;
+  let a, b, c, d, e = rounds1 w 0 ctx.h0 ctx.h1 ctx.h2 ctx.h3 ctx.h4 in
+  ctx.h0 <- (ctx.h0 + a) land mask32;
+  ctx.h1 <- (ctx.h1 + b) land mask32;
+  ctx.h2 <- (ctx.h2 + c) land mask32;
+  ctx.h3 <- (ctx.h3 + d) land mask32;
+  ctx.h4 <- (ctx.h4 + e) land mask32
+
+let feed_bytes ctx ?(off = 0) ?len src =
+  let len = match len with Some l -> l | None -> Bytes.length src - off in
+  if off < 0 || len < 0 || off + len > Bytes.length src then
+    invalid_arg "Sha1.feed_bytes: bad bounds";
+  ctx.total <- ctx.total + len;
+  let pos = ref off and remaining = ref len in
+  (* Top up a partially filled staging block first. *)
+  if ctx.fill > 0 then begin
+    let take = min !remaining (64 - ctx.fill) in
+    Bytes.blit src !pos ctx.block ctx.fill take;
+    ctx.fill <- ctx.fill + take;
+    pos := !pos + take;
+    remaining := !remaining - take;
+    if ctx.fill = 64 then begin
+      compress ctx ctx.block 0;
+      ctx.fill <- 0
+    end
+  end;
+  while !remaining >= 64 do
+    compress ctx src !pos;
+    pos := !pos + 64;
+    remaining := !remaining - 64
+  done;
+  if !remaining > 0 then begin
+    Bytes.blit src !pos ctx.block ctx.fill !remaining;
+    ctx.fill <- ctx.fill + !remaining
+  end
+
+let feed_string ctx ?(off = 0) ?len src =
+  let len = match len with Some l -> l | None -> String.length src - off in
+  if off < 0 || len < 0 || off + len > String.length src then
+    invalid_arg "Sha1.feed_string: bad bounds";
+  feed_bytes ctx ~off ~len (Bytes.unsafe_of_string src)
+
+let get ctx =
+  let clone =
+    {
+      ctx with
+      block = Bytes.copy ctx.block;
+      w = Array.make 16 0;
+    }
+  in
+  let bitlen = clone.total * 8 in
+  let pad_len =
+    let r = (clone.total + 1) mod 64 in
+    if r <= 56 then 56 - r else 120 - r
+  in
+  let tail = Bytes.make (1 + pad_len + 8) '\x00' in
+  Bytes.set tail 0 '\x80';
+  for i = 0 to 7 do
+    Bytes.set tail
+      (1 + pad_len + i)
+      (Char.chr ((bitlen lsr (8 * (7 - i))) land 0xff))
+  done;
+  feed_bytes clone tail;
+  assert (clone.fill = 0);
+  let out = Bytes.create 20 in
+  let put i v =
+    Bytes.set out i (Char.chr ((v lsr 24) land 0xff));
+    Bytes.set out (i + 1) (Char.chr ((v lsr 16) land 0xff));
+    Bytes.set out (i + 2) (Char.chr ((v lsr 8) land 0xff));
+    Bytes.set out (i + 3) (Char.chr (v land 0xff))
+  in
+  put 0 clone.h0;
+  put 4 clone.h1;
+  put 8 clone.h2;
+  put 12 clone.h3;
+  put 16 clone.h4;
+  Bytes.unsafe_to_string out
+
+(* One-shot digest of a short input — at most 55 bytes, so message,
+   0x80 terminator and the 8-byte length all fit a single padded block.
+   Produces exactly the init/feed/get digest while allocating only a
+   16-word schedule and the output: keygen hashes millions of 16-byte
+   seeds during setup, and the ctx path's per-digest ctx, staging block
+   and clone dominated minor-heap traffic there. *)
 let digest_short b off len =
   (* Build the padded schedule directly from the input — message bytes
      big-endian, the 0x80 terminator, zeros, then the bit length — with
@@ -289,6 +263,8 @@ let digest_bytes ?(off = 0) ?len b =
     feed_bytes ctx ~off ~len b;
     get ctx
   end
+
+let digest_string s = digest_bytes (Bytes.unsafe_of_string s)
 
 let hex_of_digest d =
   let b = Buffer.create 40 in
