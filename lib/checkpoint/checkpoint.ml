@@ -8,7 +8,7 @@
 
    Layout (all header lines LF-terminated, body starts right after):
 
-     DHTLB-CKPT v3
+     DHTLB-CKPT v4
      git_rev <rev>
      params_digest <40-hex sha1>
      tick <n>
@@ -19,7 +19,8 @@
    [Engine.progress] is undefined behaviour to read, not an error.  The
    version therefore moves with every layout change (v2: [Dht.t] became
    a chunked array index; v3: a vnode's keys became a packed byte buffer
-   inside its record), and the body digest refuses a torn or
+   inside its record; v4: the replica map's repair-skip version gave way
+   to a dirty set of vnode ids), and the body digest refuses a torn or
    altered body before a single byte of it is unmarshaled.
 
    The body is marshaled with default flags: [Engine.progress] is plain
@@ -30,7 +31,7 @@
    [State.check_invariants] tests by physical equality). *)
 
 let magic = "DHTLB-CKPT"
-let format_version = 3
+let format_version = 4
 
 let current_git_rev () =
   match Sys.getenv_opt "DHTLB_GIT_REV" with

@@ -11,7 +11,7 @@
     The file is self-describing: a text header
 
     {v
-DHTLB-CKPT v3
+DHTLB-CKPT v4
 git_rev <rev>
 params_digest <40-hex sha1>
 tick <n>
@@ -20,7 +20,7 @@ body_sha1 <40-hex sha1>
 
     precedes the marshaled body.  {!load} refuses — with a clear error,
     before unmarshaling anything — files with the wrong magic, an
-    unsupported format version (v1 and v2 files, whose bodies have
+    unsupported format version (v1 to v3 files, whose bodies have
     other state layouts, included), a parameter digest that does not
     match the parameters the caller is about to resume under, or a body
     whose SHA-1 differs from [body_sha1] (a torn or altered file).  A
@@ -30,7 +30,7 @@ body_sha1 <40-hex sha1>
     agrees, which a rev string can neither prove nor disprove. *)
 
 type header = {
-  version : int;  (** the file's format version (currently 3) *)
+  version : int;  (** the file's format version (currently 4) *)
   git_rev : string;  (** revision recorded at save time *)
   params_digest : string;  (** SHA-1 over the marshaled {!Params.t} *)
   tick : int;  (** tick the checkpoint was taken at *)

@@ -139,9 +139,9 @@ type t = {
   (* Live replica map, mirroring State.repl as an association list:
      vnode id -> ids of its current backup holders.  Always [] when
      [Params.replicas = 0].  Unlike the engine the oracle keeps no
-     repair-skip bookkeeping: the engine's skip fires only when the
-     pass would be a draw-free no-op, so running the pass anyway is
-     bit-identical. *)
+     dirty set: the engine's pass skips only vnodes that already hold
+     their successor lists, where the full walk draws and changes
+     nothing, so walking every vnode is bit-identical. *)
   mutable holders : (Id.t * Id.t list) list;
   initial_mean : float;
   mutable initial_tasks : int;
@@ -803,8 +803,8 @@ let apply_crash_bursts o =
     else List.iter (fail_phys_assumed o) victims
   end
 
-(* Mirrors State.repair_replicas minus the draw-free skip: every
-   [repair_lag] ticks walk the ring ascending and restore each vnode's
+(* Mirrors State.repair_replicas without its dirty set: every
+   [repair_lag] ticks walk the whole ring ascending and restore each vnode's
    holder list to its current successor list — kept holders are free,
    each missing one costs a copy of the vnode's tasks and (iff
    0 < repl_drop < 1) one fault-stream bernoulli. *)

@@ -16,6 +16,7 @@ type plan = {
   pl_tasks : int;
   pl_churn : float;
   pl_drop : float;
+  pl_repl_drop : float;  (* enrolment drops leave vnodes dirty across a save *)
   pl_crash : bool;
   pl_replicas : int;
   pl_attack : bool;
@@ -30,6 +31,7 @@ let params_of_plan pl =
     {
       Faults.none with
       Faults.drop = pl.pl_drop;
+      repl_drop = pl.pl_repl_drop;
       crash_bursts =
         (if pl.pl_crash then [ { Faults.at = 4; count = 2 } ] else []);
     }
@@ -68,11 +70,11 @@ let params_of_plan pl =
 
 let print_plan pl =
   Printf.sprintf
-    "{strategy=%s nodes=%d tasks=%d churn=%g drop=%g crash=%b replicas=%d \
-     attack=%b arrivals=%b seed=%d every=%d}"
+    "{strategy=%s nodes=%d tasks=%d churn=%g drop=%g repl_drop=%g crash=%b \
+     replicas=%d attack=%b arrivals=%b seed=%d every=%d}"
     (Strategy.name pl.pl_strategy)
-    pl.pl_nodes pl.pl_tasks pl.pl_churn pl.pl_drop pl.pl_crash pl.pl_replicas
-    pl.pl_attack pl.pl_arrivals pl.pl_seed pl.pl_every
+    pl.pl_nodes pl.pl_tasks pl.pl_churn pl.pl_drop pl.pl_repl_drop pl.pl_crash
+    pl.pl_replicas pl.pl_attack pl.pl_arrivals pl.pl_seed pl.pl_every
 
 let gen_plan =
   QCheck.Gen.(
@@ -81,6 +83,7 @@ let gen_plan =
     let* pl_tasks = int_range 40 240 in
     let* pl_churn = oneofl [ 0.0; 0.01; 0.05 ] in
     let* pl_drop = oneofl [ 0.0; 0.2 ] in
+    let* pl_repl_drop = oneofl [ 0.0; 0.3 ] in
     let* pl_crash = bool in
     let* pl_replicas = oneofl [ 0; 2 ] in
     let* pl_attack = bool in
@@ -94,6 +97,7 @@ let gen_plan =
         pl_tasks;
         pl_churn;
         pl_drop;
+        pl_repl_drop;
         pl_crash;
         pl_replicas;
         pl_attack;
@@ -233,7 +237,7 @@ let test_refuses_garbage () =
 let test_refuses_future_version () =
   with_temp_file ".ckpt" @@ fun path ->
   let oc = open_out_bin path in
-  output_string oc "DHTLB-CKPT v4\ngit_rev x\nparams_digest 0\ntick 0\n";
+  output_string oc "DHTLB-CKPT v5\ngit_rev x\nparams_digest 0\ntick 0\n";
   close_out oc;
   check_refused "version" ~substring:"unsupported checkpoint version"
     (Checkpoint.load ~path small_params)
@@ -283,6 +287,18 @@ let test_refuses_v1 () =
   in
   write_file path (String.concat "\n" v1 ^ "\n" ^ body);
   check_refused "v1" ~substring:"unsupported checkpoint version"
+    (Checkpoint.load ~path small_params)
+
+(* A v3 file: the current header with its version line rolled back.
+   Every other line matches, the body digest included, so only the
+   version refuses it — v3 bodies carry the replica map's old record. *)
+let test_refuses_v3 () =
+  with_temp_file ".ckpt" @@ fun path ->
+  write_checkpoint ~path small_params;
+  let header, body = read_checkpoint path in
+  let v3 = "DHTLB-CKPT v3" :: List.tl header in
+  write_file path (String.concat "\n" v3 ^ "\n" ^ body);
+  check_refused "v3" ~substring:"unsupported checkpoint version"
     (Checkpoint.load ~path small_params)
 
 let test_refuses_flipped_body_byte () =
@@ -564,6 +580,7 @@ let () =
           Alcotest.test_case "future version" `Quick test_refuses_future_version;
           Alcotest.test_case "truncated body" `Quick test_refuses_truncated_body;
           Alcotest.test_case "v1 checkpoint" `Quick test_refuses_v1;
+          Alcotest.test_case "v3 checkpoint" `Quick test_refuses_v3;
           Alcotest.test_case "flipped body byte" `Quick test_refuses_flipped_body_byte;
           Alcotest.test_case "missing file" `Quick test_refuses_missing_file;
         ] );
