@@ -15,20 +15,41 @@ let aggregate_row label (a : Runner.aggregate) =
     (if a.Runner.aborted > 0 then Printf.sprintf "  (%d aborted!)" a.Runner.aborted
      else "")
 
+(* A cell identical to an earlier one of the same section (equal
+   parameters and strategy, both plain data) reprints that cell's result
+   under its own label instead of running again. *)
 let render ?trials ~seed s =
   let buf = Buffer.create 2048 in
   Printf.bprintf buf "%s\n%s\n" s.title (String.make (String.length s.title) '-');
+  let run params strategy =
+    let params = { params with Params.seed } in
+    match s.single with
+    | Some line ->
+      let r = Engine.run params (Strategy.make strategy ()) in
+      fun label -> line label r
+    | None ->
+      let a =
+        Runner.run_trials ?trials ~domains:(Scale.domains ()) params
+          (Strategy.make strategy)
+      in
+      fun label -> aggregate_row label a
+  in
+  let ran = ref [] in
   List.iter
     (fun row ->
       Buffer.add_string buf
-        (match (row, s.single) with
-        | Note text, _ -> "  " ^ text ^ "\n"
-        | Cell (label, params, strategy), Some line ->
-          line label (Engine.run { params with Params.seed } (Strategy.make strategy ()))
-        | Cell (label, params, strategy), None ->
-          aggregate_row label
-            (Runner.run_trials ?trials ~domains:(Scale.domains ())
-               { params with Params.seed } (Strategy.make strategy))))
+        (match row with
+        | Note text -> "  " ^ text ^ "\n"
+        | Cell (label, params, strategy) ->
+          let print =
+            match List.assoc_opt (params, strategy) !ran with
+            | Some print -> print
+            | None ->
+              let print = run params strategy in
+              ran := ((params, strategy), print) :: !ran;
+              print
+          in
+          print label))
     s.rows;
   Buffer.contents buf
 

@@ -35,4 +35,6 @@ val groups : string list
 val render : ?trials:int -> seed:int -> section -> string
 (** The section's title and rows.  Every cell runs at [seed]; aggregate
     cells run [trials] trials (default 10, trial [i] at [seed + i]) on
-    [Scale.domains ()] domains. *)
+    [Scale.domains ()] domains.  A cell structurally equal to an earlier
+    cell of the section (same parameters and strategy) is not run again:
+    it prints the earlier result under its own label. *)
