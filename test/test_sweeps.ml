@@ -1,5 +1,6 @@
-(* Byte-exact goldens for every sweep and every paper result table, and
-   the CLI's refusal of bad sweep and runner flags.
+(* Byte-exact goldens for every sweep, every paper result table and every
+   other artifact subcommand, and the CLI's refusal of bad sweep and
+   runner flags.
 
    The five CLI sweeps run through the real binary at one trial, seed 11,
    with --csv, --journal and (where offered) --json; stdout, the CSV file
@@ -9,7 +10,9 @@
    golden journal back must recompute nothing: the journal stays
    byte-identical and the output still matches.  The paper's result
    tables (summary, every ablate name, messages) and one small compare
-   pin their stdout only.
+   pin their stdout only.  Table I, the fourteen figures, hops, timeline,
+   maintenance and failures pin their stdout and, where they write one,
+   their CSV; every artifact subcommand pins its plain help.
 
    Regenerate only for an intended output change, and record it in
    CHANGES.md:
@@ -124,17 +127,58 @@ let paper_runs =
 let paper_outputs () =
   List.map (fun (name, args) -> (name ^ ".stdout", run_stdout args)) paper_runs
 
+(* (golden name, arguments, writes a CSV) of every other artifact
+   subcommand at seed 11: Table I, the fourteen figures, hops, timeline,
+   maintenance and failures.  Figures 4-14 simulate 1000-node networks
+   and hops builds Kademlia tables up to 2048 nodes, so the case is
+   [`Slow]. *)
+let artifact_runs =
+  let at_11 name args csv = (name, args @ [ "--seed"; "11" ], csv) in
+  [ at_11 "table1" [ "table1"; "--trials"; "1" ] true ]
+  @ List.init 14 (fun i ->
+        let n = string_of_int (i + 1) in
+        at_11 ("fig-" ^ n) [ "fig"; n ] (i + 1 >= 4))
+  @ [
+      at_11 "hops" [ "hops" ] true;
+      at_11 "timeline" [ "timeline" ] true;
+      at_11 "maintenance" [ "maintenance" ] false;
+      at_11 "failures" [ "failures"; "--trials"; "1" ] false;
+    ]
+
+(* Every artifact subcommand's plain help, and the top level's.  Plain
+   help does not depend on the terminal's width. *)
+let help_commands =
+  [
+    "table1"; "fig"; "summary"; "ablate"; "messages"; "maintenance"; "failures";
+    "hops"; "timeline"; "table2"; "degrade"; "recovery-sweep"; "steady-sweep";
+    "attack-sweep"; "head-to-head";
+  ]
+
+let artifact_outputs () =
+  List.concat_map
+    (fun (name, args, csv) ->
+      if csv then begin
+        let file = temp ".csv" in
+        let stdout = run_stdout (args @ [ "--csv"; file ]) in
+        let written = read_file file in
+        Sys.remove file;
+        [ (name ^ ".stdout", stdout); (name ^ ".csv", written) ]
+      end
+      else [ (name ^ ".stdout", run_stdout args) ])
+    artifact_runs
+  @ ("help-dhtlb.stdout", run_stdout [ "--help=plain" ])
+    :: List.map
+         (fun cmd -> ("help-" ^ cmd ^ ".stdout", run_stdout [ cmd; "--help=plain" ]))
+         help_commands
+
 let golden name = read_file (Filename.concat (Filename.concat here "goldens") name)
 
-let test_fresh () =
-  List.iter
-    (fun (name, got) -> Alcotest.(check string) name (golden name) got)
-    (outputs ())
+let check_goldens outputs =
+  List.iter (fun (name, got) -> Alcotest.(check string) name (golden name) got) outputs
 
-let test_paper () =
-  List.iter
-    (fun (name, got) -> Alcotest.(check string) name (golden name) got)
-    (paper_outputs ())
+let test_fresh () = check_goldens (outputs ())
+let test_paper () = check_goldens (paper_outputs ())
+let test_artifacts () = check_goldens (artifact_outputs ())
 
 (* Resuming from a complete golden journal: any recomputed cell would
    append a line, so an unchanged journal proves zero recomputation. *)
@@ -237,7 +281,7 @@ let () =
   | [| _; "regen"; dir |] ->
     List.iter
       (fun (name, s) -> write_file (Filename.concat dir name) s)
-      (outputs () @ paper_outputs ())
+      (outputs () @ paper_outputs () @ artifact_outputs ())
   | _ ->
     Alcotest.run "sweeps"
       [
@@ -246,6 +290,7 @@ let () =
             Alcotest.test_case "fresh run" `Quick test_fresh;
             Alcotest.test_case "resume from journal" `Quick test_resume;
             Alcotest.test_case "paper result tables" `Slow test_paper;
+            Alcotest.test_case "artifact outputs" `Slow test_artifacts;
           ] );
         ("refusals", refusals);
       ]
