@@ -24,13 +24,19 @@ let rec take n = function
 (* Offer [other] to [self]'s table: accept when the bucket has room, or
    when [other] is closer than the bucket's furthest entry (Kademlia
    actually prefers old stable contacts; closeness is the right policy
-   for a converged simulator table). *)
+   for a converged simulator table).  A bucket is kept sorted closest
+   first, so a full bucket whose last entry is closer than [other]
+   would drop [other] again after the sort: skip the sort. *)
 let offer t self (node : node) other =
   match bucket_index ~self other with
   | None -> ()
   | Some i ->
     let entries = node.buckets.(i) in
-    if not (List.exists (Id.equal other) entries) then
+    let full_and_closer () =
+      List.length entries >= t.k
+      && xor_closer self (List.nth entries (t.k - 1)) other < 0
+    in
+    if not (full_and_closer () || List.exists (Id.equal other) entries) then
       node.buckets.(i) <-
         take t.k (List.sort (xor_closer self) (other :: entries))
 

@@ -37,21 +37,29 @@ let test_bucket_index () =
     (Kademlia.bucket_index ~self (Id.add_pow2 Id.zero 159))
 
 let test_build_buckets () =
-  let ids, net = build ~k:3 64 in
+  let k = 3 in
+  let ids, net = build ~k 64 in
   Alcotest.(check int) "size" 64 (Kademlia.size net);
-  (* every bucket holds at most k entries, each in the right bucket *)
+  (* every bucket holds exactly the k XOR-closest members with that
+     bucket index, closest first; at k = 3 the top buckets fill *)
+  let full = ref 0 in
   Array.iter
     (fun self ->
       for b = 0 to Id.bits - 1 do
-        let entries = Kademlia.bucket_of net ~self b in
-        if List.length entries > 3 then Alcotest.fail "bucket over capacity";
-        List.iter
-          (fun e ->
-            Alcotest.(check (option int)) "entry in right bucket" (Some b)
-              (Kademlia.bucket_index ~self e))
-          entries
+        let expected =
+          Array.to_list ids
+          |> List.filter (fun m -> Kademlia.bucket_index ~self m = Some b)
+          |> List.sort (fun x y ->
+                 Id.compare (Kademlia.distance self x) (Kademlia.distance self y))
+          |> List.filteri (fun i _ -> i < k)
+        in
+        if List.length expected = k then incr full;
+        Alcotest.(check (list Testutil.check_id))
+          (Printf.sprintf "bucket %d" b) expected
+          (Kademlia.bucket_of net ~self b)
       done)
     ids;
+  Alcotest.(check bool) "some buckets full" true (!full > 64);
   Alcotest.check_raises "k<1" (Invalid_argument "Kademlia.build: k < 1")
     (fun () -> ignore (Kademlia.build (Prng.create 1) ~ids ~k:0))
 
