@@ -1,8 +1,9 @@
 (* dhtlb: command-line front end for the reproduction.
 
-   Every table, figure, summary and ablation from DESIGN.md's experiment
-   index is an individual subcommand; `simulate` runs one free-form
-   configuration. *)
+   Every table, figure, summary, ablation and sweep from DESIGN.md's
+   experiment index is an entry of Artifacts.all, and one builder makes
+   the subcommands that regenerate them; `simulate`, `stream` and
+   `compare` run free-form configurations. *)
 
 open Cmdliner
 
@@ -352,16 +353,16 @@ let journal_t =
            completed cell).  Rerunning a killed sweep with the same \
            journal skips exactly the cells already recorded there.")
 
+(* A refused input: one line on stderr, exit 2. *)
+let refuse message =
+  prerr_endline message;
+  exit 2
+
 let with_journal path f =
   match path with
   | None -> f None
   | Some p ->
-    let j =
-      try Journal.open_ p
-      with Sys_error e ->
-        prerr_endline ("invalid --journal: " ^ e);
-        exit 2
-    in
+    let j = try Journal.open_ p with Sys_error e -> refuse ("invalid --journal: " ^ e) in
     if Journal.loaded j > 0 then
       Printf.eprintf "journal %s: resuming, %d cell(s) already recorded\n%!" p
         (Journal.loaded j);
@@ -410,9 +411,7 @@ let load_checkpoint_or_die ~path params =
         hdr.Checkpoint.git_rev current;
     Format.eprintf "resuming %s from tick %d@." path hdr.Checkpoint.tick;
     p
-  | Error e ->
-    prerr_endline e;
-    exit 2
+  | Error e -> refuse e
 
 (* The one single-run path, shared by [simulate --trials 1] and [stream].
    Applied to the checkpoint flags, it refuses --resume or
@@ -425,11 +424,7 @@ let load_checkpoint_or_die ~path params =
 let single_run ~checkpoint ~checkpoint_every ~resume =
   if checkpoint = None then
     List.iter
-      (fun (given, flag) ->
-        if given then begin
-          prerr_endline (flag ^ " requires --checkpoint FILE");
-          exit 2
-        end)
+      (fun (given, flag) -> if given then refuse (flag ^ " requires --checkpoint FILE"))
       [
         (resume, "--resume");
         (checkpoint_every <> None, "--checkpoint-every");
@@ -468,9 +463,7 @@ let maybe_csv path contents =
 let validate_or_die params =
   match Params.validate params with
   | Ok () -> ()
-  | Error e ->
-    prerr_endline ("invalid parameters: " ^ e);
-    exit 2
+  | Error e -> refuse ("invalid parameters: " ^ e)
 
 let sink_of_opt trace_out =
   match trace_out with
@@ -478,9 +471,7 @@ let sink_of_opt trace_out =
   | Some spec -> (
     match Trace.sink_of_string spec with
     | Ok s -> Some s
-    | Error e ->
-      prerr_endline ("invalid --trace-out: " ^ e);
-      exit 2)
+    | Error e -> refuse ("invalid --trace-out: " ^ e))
 
 let simulate params strategy trials domains snapshots trace_csv trace_out
     metrics json out checkpoint checkpoint_every resume trial_timeout =
@@ -490,11 +481,7 @@ let simulate params strategy trials domains snapshots trace_csv trace_out
   (* These act on one run's result; a multi-trial run would drop them. *)
   if trials > 1 then
     List.iter
-      (fun (given, message) ->
-        if given then begin
-          prerr_endline message;
-          exit 2
-        end)
+      (fun (given, message) -> if given then refuse message)
       [
         (checkpoint <> None || resume, "--checkpoint/--resume require --trials 1");
         (metrics, "--metrics requires --trials 1");
@@ -558,6 +545,8 @@ let trace_out_t =
            runs suffix file-sink paths with the trial index \
            (trace.csv becomes trace.0.csv, trace.1.csv, ...).")
 
+let json_t = Arg.(value & flag & info [ "json" ] ~doc:"Also print the result as JSON.")
+
 let simulate_cmd =
   let snapshots_t =
     Arg.(
@@ -582,9 +571,6 @@ let simulate_cmd =
           ~doc:
             "Report per-phase wall-clock timings and GC deltas (also \
              enabled by DHTLB_METRICS=1; single-trial runs).")
-  in
-  let json_t =
-    Arg.(value & flag & info [ "json" ] ~doc:"Also print the result as JSON.")
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run one simulation configuration.")
@@ -657,9 +643,6 @@ let stream params strategy trace_out csv json out checkpoint checkpoint_every
   if json then print_endline (Json_out.to_string ~pretty:true result)
 
 let stream_cmd =
-  let json_t =
-    Arg.(value & flag & info [ "json" ] ~doc:"Also print the result as JSON.")
-  in
   Cmd.v
     (Cmd.info "stream"
        ~doc:
@@ -671,120 +654,6 @@ let stream_cmd =
     Term.(
       const stream $ params_t $ strategy_t $ trace_out_t $ csv_t $ json_t
       $ out_t $ checkpoint_t $ checkpoint_every_t $ resume_t)
-
-let print_cmd name doc f =
-  Cmd.v (Cmd.info name ~doc) Term.(const (fun s -> print_string (f s)) $ seed_t)
-
-let print_cmd_trials name doc f =
-  Cmd.v (Cmd.info name ~doc)
-    Term.(
-      const (fun trials seed -> print_string (f ~trials ~seed))
-      $ trials_t $ seed_t)
-
-let table1_cmd =
-  Cmd.v
-    (Cmd.info "table1" ~doc:"Table I: median task distribution.")
-    Term.(
-      const (fun trials seed csv ->
-          let rows = Initial_distribution.table1 ~trials ~seed () in
-          print_string (Initial_distribution.print_table1 rows);
-          maybe_csv csv (Export.table1_csv rows))
-      $ trials_t $ seed_t $ csv_t)
-
-let hops_cmd =
-  Cmd.v
-    (Cmd.info "hops" ~doc:"Lookup hop-count scaling across ring sizes.")
-    Term.(
-      const (fun seed csv ->
-          let rows = Lookup_hops.run ~seed () in
-          print_string (Lookup_hops.print_table rows);
-          print_newline ();
-          print_string "Across overlays (Chord fingers / Symphony k=4 / Kademlia k=8):\n";
-          print_string (Overlay_hops.print_table (Overlay_hops.run ~seed ()));
-          maybe_csv csv (Export.lookup_hops_csv rows))
-      $ seed_t $ csv_t)
-
-let timeline_cmd =
-  Cmd.v
-    (Cmd.info "timeline"
-       ~doc:"Work completed per tick for each strategy (first 50 ticks).")
-    Term.(
-      const (fun seed csv ->
-          let series = Work_timeline.run ~seed () in
-          print_string (Work_timeline.print_table series);
-          maybe_csv csv (Export.work_timeline_csv series))
-      $ seed_t $ csv_t)
-
-let fig_cmd =
-  let n_t = Arg.(required & pos 0 (some int) None & info [] ~docv:"N") in
-  let run n seed csv =
-    let out =
-      match n with
-      | 1 -> Ok (Initial_distribution.figure1 ~seed ())
-      | 2 -> Ok (Initial_distribution.figure2 ~seed ())
-      | 3 -> Ok (Initial_distribution.figure3 ~seed ())
-      | n -> Paired_figures.figure ~seed n
-    in
-    match out with
-    | Ok s ->
-      print_string s;
-      (match csv with
-      | Some file when n >= 4 -> (
-        match
-          List.find_opt
-            (fun sp -> sp.Paired_figures.fig = n)
-            (Paired_figures.specs ~seed ())
-        with
-        | Some spec ->
-          let series =
-            List.filter
-              (fun (s : Figure.series) -> Array.length s.Figure.workloads > 0)
-              (Paired_figures.series_of_spec spec)
-          in
-          if series <> [] then begin
-            Csv_out.write_file file (Figure.csv series);
-            Printf.eprintf "wrote %s\n%!" file
-          end
-        | None -> ())
-      | Some _ ->
-        prerr_endline "--csv is only supported for the simulated figures (4-14)"
-      | None -> ())
-    | Error e ->
-      prerr_endline e;
-      exit 2
-  in
-  Cmd.v
-    (Cmd.info "fig" ~doc:"Regenerate Figure N (1-14).")
-    Term.(const run $ n_t $ seed_t $ csv_t)
-
-(* The paper's result tables: [summary] runs a table of the "summaries"
-   group, [messages] the table of that name, [ablate] any other. *)
-let summary_cmd, ablate_cmd, messages_cmd =
-  let summaries, rest =
-    List.partition (fun s -> s.Paper_rows.group = "summaries") Paper_rows.sections
-  in
-  let messages, ablations = List.partition (fun s -> s.Paper_rows.name = "messages") rest in
-  let names = List.map (fun s -> s.Paper_rows.name) in
-  let table_cmd name doc ~docv ?arg_doc sections =
-    let which_t =
-      Arg.(
-        required
-        & pos 0 (some (enum (List.combine (names sections) sections))) None
-        & info [] ~docv ?doc:arg_doc)
-    in
-    Cmd.v (Cmd.info name ~doc)
-      Term.(
-        const (fun s trials seed -> print_string (Paper_rows.render ~trials ~seed s))
-        $ which_t $ trials_t $ seed_t)
-  in
-  ( table_cmd "summary" "Section VI runtime-factor summaries."
-      ~docv:(String.concat "|" (names summaries)) summaries,
-    table_cmd "ablate" "Parameter ablations and extensions." ~docv:"WHICH"
-      ~arg_doc:
-        (String.capitalize_ascii (Arg.doc_alts ~quoted:false (names ablations)) ^ ".")
-      ablations,
-    print_cmd "messages" "Per-strategy message accounting." (fun seed ->
-        String.concat "" (List.map (Paper_rows.render ~seed) messages)) )
 
 let compare_cmd =
   (* One [run_all] per strategy: the factors, the aggregate and trial 0's
@@ -833,82 +702,73 @@ let compare_cmd =
        ~doc:"All strategies head-to-head on one network configuration.")
     Term.(const run $ params_t $ trials_t $ domains_t)
 
-let maintenance_cmd =
-  print_cmd "maintenance"
-    "Stabilization cost under churn (paper footnote 2)." (fun seed ->
-      Maintenance.print_table (Maintenance.run ~seed ()))
+(* ---------------------------------------------------------------- *)
+(* Artifacts                                                          *)
 
-let failures_cmd =
-  print_cmd_trials "failures"
-    "Key loss under simultaneous failures vs replication."
-    (fun ~trials ~seed ->
-      Failure_recovery.print_table (Failure_recovery.run ~seed ~trials ()))
-
-(* Every sweep subcommand: --trials, --seed, --csv, --journal,
-   --trial-timeout, and --json where the sweep exports JSON.  [after]
-   adds text printed after the table and wraps the JSON export. *)
-let sweep_cmd ?(json_doc = "Also print the sweep as JSON.")
-    ?(after = fun ~seed:_ -> ("", Fun.id)) name doc (spec : Sweep.t) =
+(* Every artifact subcommand comes from Artifacts.all: an [Own] entry is
+   a subcommand of its own, and fig, summary and ablate pick one of their
+   entries by a positional argument.  A subcommand offers the flags its
+   entries read, and refuses a bad DHTLB_DOMAINS, an unknown figure or a
+   --csv its entry cannot write before any work. *)
+let artifact_cmd entries =
+  let first = List.hd entries in
+  let name, doc = Artifacts.subcommand first.Artifacts.command in
+  let flags = List.map Artifacts.flags entries in
+  let any f = List.exists f flags in
+  let offer present term none = if present then term else Term.const none in
   let json_t =
-    if spec.Sweep.json = None then Term.const false
-    else Arg.(value & flag & info [ "json" ] ~doc:json_doc)
+    match List.find_map (fun f -> f.Artifacts.json_doc) flags with
+    | Some doc -> Arg.(value & flag & info [ "json" ] ~doc)
+    | None -> Term.const false
   in
-  let run trials seed csv json journal trial_timeout =
-    (match Scale.domains () with
-    | _ -> ()
-    | exception Invalid_argument e ->
-      prerr_endline e;
-      exit 2);
-    let rows =
-      with_journal journal (fun journal ->
-          Sweep.run ?journal ?trial_timeout ~trials ~seed spec)
+  let journal = any (fun f -> f.Artifacts.journal) in
+  let named = List.map (fun e -> (Artifacts.key e, e)) entries in
+  let select_t =
+    let positional c ~docv ?doc () =
+      Arg.(required & pos 0 (some c) None & info [] ~docv ?doc)
     in
-    let text, wrap = after ~seed in
-    print_string (spec.Sweep.table rows);
-    print_string text;
-    maybe_csv csv (Sweep.csv spec rows);
-    if json then
-      print_endline (Json_out.to_string ~pretty:true (wrap (Sweep.json spec rows)))
+    let names = List.map fst named in
+    match first.Artifacts.command with
+    | Artifacts.Own _ -> Term.const (Ok first)
+    | Artifacts.Fig _ ->
+      let pick n =
+        Option.to_result
+          ~none:(Printf.sprintf "no Figure %d (figures are 1-14)" n)
+          (List.assoc_opt (string_of_int n) named)
+      in
+      Term.(const pick $ positional Arg.int ~docv:"N" ())
+    | Artifacts.Summary _ ->
+      let docv = String.concat "|" names in
+      Term.(const Result.ok $ positional (Arg.enum named) ~docv ())
+    | Artifacts.Ablate _ ->
+      let doc = String.capitalize_ascii (Arg.doc_alts ~quoted:false names) ^ "." in
+      Term.(const Result.ok $ positional (Arg.enum named) ~docv:"WHICH" ~doc ())
   in
+  let run select trials seed csv json journal trial_timeout =
+    (match Scale.domains () with _ -> () | exception Invalid_argument e -> refuse e);
+    let entry = match select with Ok e -> e | Error e -> refuse e in
+    if csv <> None && not (Artifacts.flags entry).Artifacts.writes_csv then
+      refuse (Printf.sprintf "--csv: %s %s writes no CSV" name (Artifacts.key entry));
+    let out =
+      with_journal journal (fun journal ->
+          Artifacts.run ?journal ?trial_timeout entry ~trials ~seed)
+    in
+    print_string out.Artifacts.text;
+    Option.iter (maybe_csv csv) out.Artifacts.csv;
+    if json then
+      Option.iter
+        (fun j -> print_endline (Json_out.to_string ~pretty:true j))
+        out.Artifacts.json
+  in
+  (* An entry that reads no trial count ignores the constant. *)
   Cmd.v (Cmd.info name ~doc)
     Term.(
-      const run $ trials_t $ seed_t $ csv_t $ json_t $ journal_t
-      $ trial_timeout_t)
-
-let sweep_cmds =
-  [
-    sweep_cmd "table2" "Table II: churn-rate sweep." Sweep.churn;
-    sweep_cmd "degrade"
-      "Graceful degradation: runtime factor per strategy as the \
-       control-plane message drop rate climbs."
-      Sweep.degrade;
-    sweep_cmd "recovery-sweep"
-      "In-simulation crash recovery: tasks lost under a crash burst versus \
-       live replication degree, against the analytic f^(r+1)."
-      Sweep.recovery;
-    sweep_cmd "steady-sweep"
-      "Steady-state sweep: strategy × Poisson arrival rate × churn, each \
-       cell an open-system run reporting warm-up-discarded queue and \
-       sojourn percentiles."
-      Sweep.steady;
-    sweep_cmd "attack-sweep"
-      "Adversarial sweep: runtime factor and recovery-plane task loss \
-       versus eclipse-attacker strength, undefended and under the \
-       admission-puzzle defense."
-      Sweep.attack;
-    sweep_cmd "head-to-head" ~json_doc:"Also print the comparison as JSON."
-      ~after:(fun ~seed ->
-        let makespans = Headtohead.makespans ~seed () in
-        ( "\n" ^ Headtohead.print_makespans makespans,
-          fun grid ->
-            Json_out.Obj
-              [ ("grid", grid); ("makespans", Headtohead.makespans_json makespans) ] ))
-      "Strategy families head to head: the Sybil strategies against the \
-       non-Sybil competitors (diffusive transfers, range reassignment) \
-       across churn and reply-drop regimes, plus a ChordReduce word-count \
-       makespan leg on each family's warmed ring."
-      Sweep.head_to_head;
-  ]
+      const run $ select_t
+      $ offer (any (fun f -> f.Artifacts.reads_trials)) trials_t 1
+      $ seed_t
+      $ offer (any (fun f -> f.Artifacts.writes_csv)) csv_t None
+      $ json_t $ offer journal journal_t None
+      $ offer journal trial_timeout_t None)
 
 let main_cmd =
   Cmd.group
@@ -916,20 +776,7 @@ let main_cmd =
        ~doc:
          "Autonomous DHT load balancing via churn and the Sybil attack \
           (reproduction of Rosen, Levin & Bourgeois, IPPS 2021).")
-    ([
-       simulate_cmd;
-       table1_cmd;
-       fig_cmd;
-       summary_cmd;
-       ablate_cmd;
-       messages_cmd;
-       compare_cmd;
-       maintenance_cmd;
-       failures_cmd;
-       hops_cmd;
-       timeline_cmd;
-       stream_cmd;
-     ]
-    @ sweep_cmds)
+    (simulate_cmd :: compare_cmd :: stream_cmd
+    :: List.map artifact_cmd (Artifacts.commands))
 
 let () = exit (Cmd.eval main_cmd)

@@ -27,44 +27,6 @@ let lookup_hops_csv rows =
          ])
        rows)
 
-let maintenance_csv rows =
-  Csv_out.table
-    ~header:
-      [
-        "churn_rate";
-        "rounds";
-        "messages_per_node_round";
-        "finger_messages_per_node_round";
-        "mean_stale_heads";
-        "final_consistent";
-        "final_finger_accuracy";
-      ]
-    (List.map
-       (fun (r : Maintenance.row) ->
-         [
-           f r.Maintenance.churn_rate;
-           string_of_int r.Maintenance.rounds;
-           f r.Maintenance.messages_per_node_round;
-           f r.Maintenance.finger_messages_per_node_round;
-           f r.Maintenance.mean_stale_heads;
-           string_of_bool r.Maintenance.final_consistent;
-           f r.Maintenance.final_finger_accuracy;
-         ])
-       rows)
-
-let failure_recovery_csv rows =
-  Csv_out.table
-    ~header:[ "fail_fraction"; "replicas"; "measured_loss_rate"; "expected_loss_rate" ]
-    (List.map
-       (fun (r : Failure_recovery.row) ->
-         [
-           f r.Failure_recovery.fail_fraction;
-           string_of_int r.Failure_recovery.replicas;
-           f r.Failure_recovery.measured_loss_rate;
-           f r.Failure_recovery.expected_loss_rate;
-         ])
-       rows)
-
 (* NaN percentiles (no completions in the window) become empty cells,
    not "nan". *)
 let fnan v = if Float.is_nan v then "" else f v

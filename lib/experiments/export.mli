@@ -2,8 +2,6 @@
 
 val table1_csv : Initial_distribution.table1_row list -> string
 val lookup_hops_csv : Lookup_hops.row list -> string
-val maintenance_csv : Maintenance.row list -> string
-val failure_recovery_csv : Failure_recovery.row list -> string
 
 val steady_csv : Steady.window array -> string
 (** One open-system run's measurement windows: arrival/completion rates,

@@ -9,115 +9,50 @@ type spec = {
 
 let specs ?(seed = 42) () =
   let base = { (Params.default ~nodes:1000 ~tasks:100_000) with Params.seed } in
-  let churn = { base with Params.churn_rate = 0.01 } in
   let hetero = { base with Params.heterogeneity = Params.Heterogeneous } in
-  let none label params = { label; params; strategy = Strategy.No_strategy } in
   let arm label params strategy = { label; params; strategy } in
+  let none = arm "none" base Strategy.No_strategy in
+  let churn =
+    arm "churn-0.01" { base with Params.churn_rate = 0.01 } Strategy.Induced_churn
+  in
+  let random = arm "random-injection" base Strategy.Random_injection in
+  let smart = arm "smart-neighbor" base Strategy.Smart_neighbor_injection in
+  let invitation = arm "invitation" base Strategy.Invitation in
+  let spec fig at_tick title arms =
+    { fig; title = Printf.sprintf "Figure %d: %s" fig title; arms; at_tick }
+  in
   [
-    {
-      fig = 4;
-      title = "Figure 4: initial workload distribution (1000 nodes, 1e5 tasks)";
-      arms = [ none "initial" base ];
-      at_tick = 0;
-    };
-    {
-      fig = 5;
-      title = "Figure 5: churn 0.01 vs no strategy, beginning of tick 5";
-      arms = [ arm "churn-0.01" churn Strategy.Induced_churn; none "none" base ];
-      at_tick = 5;
-    };
-    {
-      fig = 6;
-      title = "Figure 6: churn 0.01 vs no strategy, tick 35";
-      arms = [ arm "churn-0.01" churn Strategy.Induced_churn; none "none" base ];
-      at_tick = 35;
-    };
-    {
-      fig = 7;
-      title = "Figure 7: random injection vs no strategy, tick 5";
-      arms =
-        [ arm "random-injection" base Strategy.Random_injection; none "none" base ];
-      at_tick = 5;
-    };
-    {
-      fig = 8;
-      title = "Figure 8: random injection vs no strategy, tick 35";
-      arms =
-        [ arm "random-injection" base Strategy.Random_injection; none "none" base ];
-      at_tick = 35;
-    };
-    {
-      fig = 9;
-      title = "Figure 9: random injection vs churn 0.01, tick 35";
-      arms =
-        [
-          arm "random-injection" base Strategy.Random_injection;
-          arm "churn-0.01" churn Strategy.Induced_churn;
-        ];
-      at_tick = 35;
-    };
-    {
-      fig = 10;
-      title = "Figure 10: heterogeneous networks, random injection vs none, tick 35";
-      arms =
-        [
-          arm "random-injection" hetero Strategy.Random_injection;
-          none "none" hetero;
-        ];
-      at_tick = 35;
-    };
-    {
-      fig = 11;
-      title = "Figure 11: neighbor injection vs no strategy, tick 35";
-      arms =
-        [ arm "neighbor-injection" base Strategy.Neighbor_injection; none "none" base ];
-      at_tick = 35;
-    };
-    {
-      fig = 12;
-      title = "Figure 12: smart neighbor injection vs no strategy, tick 35";
-      arms =
-        [
-          arm "smart-neighbor" base Strategy.Smart_neighbor_injection;
-          none "none" base;
-        ];
-      at_tick = 35;
-    };
-    {
-      fig = 13;
-      title = "Figure 13: invitation vs no strategy, tick 35";
-      arms = [ arm "invitation" base Strategy.Invitation; none "none" base ];
-      at_tick = 35;
-    };
-    {
-      fig = 14;
-      title = "Figure 14: invitation vs smart neighbor injection, tick 35";
-      arms =
-        [
-          arm "invitation" base Strategy.Invitation;
-          arm "smart-neighbor" base Strategy.Smart_neighbor_injection;
-        ];
-      at_tick = 35;
-    };
+    spec 4 0 "initial workload distribution (1000 nodes, 1e5 tasks)"
+      [ arm "initial" base Strategy.No_strategy ];
+    spec 5 5 "churn 0.01 vs no strategy, beginning of tick 5" [ churn; none ];
+    spec 6 35 "churn 0.01 vs no strategy, tick 35" [ churn; none ];
+    spec 7 5 "random injection vs no strategy, tick 5" [ random; none ];
+    spec 8 35 "random injection vs no strategy, tick 35" [ random; none ];
+    spec 9 35 "random injection vs churn 0.01, tick 35" [ random; churn ];
+    spec 10 35 "heterogeneous networks, random injection vs none, tick 35"
+      [
+        arm "random-injection" hetero Strategy.Random_injection;
+        arm "none" hetero Strategy.No_strategy;
+      ];
+    spec 11 35 "neighbor injection vs no strategy, tick 35"
+      [ arm "neighbor-injection" base Strategy.Neighbor_injection; none ];
+    spec 12 35 "smart neighbor injection vs no strategy, tick 35" [ smart; none ];
+    spec 13 35 "invitation vs no strategy, tick 35" [ invitation; none ];
+    spec 14 35 "invitation vs smart neighbor injection, tick 35" [ invitation; smart ];
   ]
 
-let snapshot_of arm ~at_tick =
-  let result =
-    Engine.run ~snapshot_at:[ at_tick ] arm.params (Strategy.make arm.strategy ())
+let render spec =
+  let series =
+    List.map
+      (fun arm ->
+        let at = spec.at_tick in
+        let strategy = Strategy.make arm.strategy () in
+        let r = Engine.run ~snapshot_at:[ at ] arm.params strategy in
+        (* empty when the run finished before the snapshot tick *)
+        let workloads = Trace.snapshot_at_tick r.Engine.trace at in
+        { Figure.label = arm.label; workloads = Option.value ~default:[||] workloads })
+      spec.arms
   in
-  match Trace.snapshot_at_tick result.Engine.trace at_tick with
-  | Some w -> w
-  | None -> [||] (* the run finished before the snapshot tick *)
-
-let series_of_spec spec =
-  List.map
-    (fun arm ->
-      let workloads = snapshot_of arm ~at_tick:spec.at_tick in
-      { Figure.label = arm.label; workloads })
-    spec.arms
-
-let run_spec spec =
-  let series = series_of_spec spec in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf (spec.title ^ "\n");
   List.iter
@@ -133,14 +68,8 @@ let run_spec spec =
              Descriptive.pp_summary sum
              (Inequality.gini s.Figure.workloads)))
     series;
-  let plottable =
-    List.filter (fun s -> Array.length s.Figure.workloads > 0) series
-  in
-  if plottable <> [] then
+  match List.filter (fun s -> Array.length s.Figure.workloads > 0) series with
+  | [] -> (Buffer.contents buf, "")
+  | plottable ->
     Buffer.add_string buf (Figure.compare_histograms plottable);
-  Buffer.contents buf
-
-let figure ?seed n =
-  match List.find_opt (fun s -> s.fig = n) (specs ?seed ()) with
-  | Some spec -> Ok (run_spec spec)
-  | None -> Error (Printf.sprintf "no Figure %d (paired figures are 4-14)" n)
+    (Buffer.contents buf, Figure.csv plottable)

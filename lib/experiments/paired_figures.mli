@@ -18,12 +18,8 @@ type spec = {
 val specs : ?seed:int -> unit -> spec list
 (** Specifications for Figures 4 through 14. *)
 
-val series_of_spec : spec -> Figure.series list
-(** Simulate every arm and return the per-arm workload snapshots (empty
-    workloads for arms that finished before the snapshot tick). *)
-
-val run_spec : spec -> string
-(** Simulate every arm and print the overlaid histogram table. *)
-
-val figure : ?seed:int -> int -> (string, string) result
-(** [figure n] renders Figure [n]; [Error] for unknown numbers. *)
+val render : spec -> string * string
+(** Simulate every arm once; return the overlaid histogram table and
+    the same histograms as CSV.  An arm that finished before the
+    snapshot tick is noted in the table and left out of both; the CSV
+    is empty when no arm reached the tick. *)

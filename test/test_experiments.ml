@@ -75,26 +75,41 @@ let test_paired_figure_small () =
       Paired_figures.params = Params.default ~nodes:50 ~tasks:500;
     }
   in
-  let out =
-    Paired_figures.run_spec { fig4 with Paired_figures.arms = [ small_arm ] }
+  let out, csv =
+    Paired_figures.render { fig4 with Paired_figures.arms = [ small_arm ] }
   in
   Alcotest.(check bool) "has title" true (contains out "Figure 4");
-  Alcotest.(check bool) "has stats" true (contains out "gini")
+  Alcotest.(check bool) "has stats" true (contains out "gini");
+  Alcotest.(check bool) "csv header" true
+    (String.starts_with ~prefix:"bin_lo,bin_hi,initial\n" csv)
 
+(* fig N picks its entry from the artifact list: Figures 1-14 each have
+   exactly one entry, nothing else is a figure, and an entry's text and
+   CSV come from one run. *)
 let test_figure_dispatch () =
-  (match Paired_figures.figure ~seed:1 99 with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown figure accepted");
-  match Paired_figures.figure ~seed:1 4 with
-  | Ok s -> Alcotest.(check bool) "fig4 ok" true (contains s "Figure 4")
-  | Error e -> Alcotest.fail e
+  let figure n =
+    List.filter (fun e -> e.Artifacts.command = Artifacts.Fig n) Artifacts.all
+  in
+  List.iter
+    (fun n ->
+      Alcotest.(check int) (Printf.sprintf "Figure %d entries" n)
+        (if n >= 1 && n <= 14 then 1 else 0)
+        (List.length (figure n)))
+    [ 0; 1; 3; 4; 14; 15; 99 ];
+  match figure 4 with
+  | [ e ] ->
+    let out = Artifacts.run e ~trials:1 ~seed:1 in
+    Alcotest.(check string) "id" "F4" e.Artifacts.id;
+    Alcotest.(check bool) "fig4 ok" true (contains out.Artifacts.text "Figure 4");
+    Alcotest.(check bool) "fig4 csv" true (out.Artifacts.csv <> None)
+  | _ -> Alcotest.fail "no Figure 4"
 
+(* A Paper_rows table renders through its artifact entry: title,
+   underline, indented note, then one aggregate row per cell. *)
 let test_paper_rows_render () =
   let section =
     {
-      Paper_rows.name = "probe";
-      group = "test";
-      title = "Probe";
+      Paper_rows.title = "Probe";
       single = None;
       rows =
         [
@@ -104,11 +119,52 @@ let test_paper_rows_render () =
         ];
     }
   in
-  match String.split_on_char '\n' (Paper_rows.render ~trials:2 ~seed:42 section) with
+  let entry =
+    {
+      Artifacts.id = "P";
+      command = Artifacts.Ablate "probe";
+      bench = None;
+      body = Artifacts.Rows section;
+    }
+  in
+  Alcotest.(check bool) "reads --trials" true
+    (Artifacts.flags entry).Artifacts.reads_trials;
+  let out = Artifacts.run entry ~trials:2 ~seed:42 in
+  Alcotest.(check bool) "no csv" true (out.Artifacts.csv = None);
+  match String.split_on_char '\n' out.Artifacts.text with
   | [ "Probe"; "-----"; "  -- a note"; row; "" ] ->
     Alcotest.(check bool) "has label" true (String.starts_with ~prefix:"  probe " row);
     Alcotest.(check bool) "has factor" true (contains row "factor=")
   | lines -> Alcotest.failf "unexpected table %S" (String.concat "\n" lines)
+
+(* The list is keyed by EXPERIMENTS.md's ids, in order; the bench
+   prints its eleven sections in the same order, and every artifact
+   subcommand appears once. *)
+let test_artifact_list () =
+  let ids = List.map (fun e -> e.Artifacts.id) Artifacts.all in
+  let numbered prefix lo hi =
+    List.init (hi - lo + 1) (fun i -> prefix ^ string_of_int (lo + i))
+  in
+  Alcotest.(check (list string)) "ids"
+    ([ "T1" ] @ numbered "F" 1 3 @ [ "T2" ] @ numbered "F" 4 14
+    @ [ "S-RI"; "S-NI"; "S-INV" ] @ numbered "A" 1 5 @ numbered "E" 1 8
+    @ [ "M1"; "R1"; "H1"; "W1"; "D1"; "R2"; "STREAM"; "ADV"; "HH" ])
+    ids;
+  Alcotest.(check (list string)) "bench sections"
+    [
+      "table1"; "figures1-3"; "table2"; "figures4-14"; "summaries"; "ablations";
+      "extensions"; "maintenance"; "failures"; "routing"; "timeline";
+    ]
+    (List.map fst Artifacts.sections);
+  Alcotest.(check (list string)) "subcommands"
+    [
+      "table1"; "fig"; "table2"; "summary"; "ablate"; "messages"; "maintenance";
+      "failures"; "hops"; "timeline"; "degrade"; "recovery-sweep"; "steady-sweep";
+      "attack-sweep"; "head-to-head";
+    ]
+    (List.map
+       (fun entries -> fst (Artifacts.subcommand (List.hd entries).Artifacts.command))
+       Artifacts.commands)
 
 let test_scale_defaults () =
   (* These read the environment; in the test environment no DHTLB_* vars
@@ -255,16 +311,7 @@ let test_work_timeline () =
 let test_export_csvs_shape () =
   let rows = Lookup_hops.run ~seed:9 ~sizes:[ 64 ] ~lookups:50 () in
   let csv = Export.lookup_hops_csv rows in
-  Alcotest.(check bool) "hops csv header" true (contains csv "mean_hops");
-  let m = Maintenance.run ~seed:3 ~nodes:40 ~rounds:5 ~rates:[ 0.0 ] () in
-  Alcotest.(check bool) "maintenance csv" true
-    (contains (Export.maintenance_csv m) "messages_per_node_round");
-  let f =
-    Failure_recovery.run ~seed:4 ~nodes:100 ~keys:500 ~trials:1
-      ~fractions:[ 0.2 ] ~replica_counts:[ 1 ] ()
-  in
-  Alcotest.(check bool) "failure csv" true
-    (contains (Export.failure_recovery_csv f) "fail_fraction")
+  Alcotest.(check bool) "hops csv header" true (contains csv "mean_hops")
 
 let () =
   Alcotest.run "experiments"
@@ -281,6 +328,7 @@ let () =
           Alcotest.test_case "paired figure" `Quick test_paired_figure_small;
           Alcotest.test_case "figure dispatch" `Slow test_figure_dispatch;
           Alcotest.test_case "paper rows render" `Quick test_paper_rows_render;
+          Alcotest.test_case "artifact list" `Quick test_artifact_list;
           Alcotest.test_case "scale" `Quick test_scale_defaults;
         ] );
       ( "robustness",

@@ -1,6 +1,6 @@
 (* Byte-exact goldens for every sweep, every paper result table and every
-   other artifact subcommand, and the CLI's refusal of bad sweep and
-   runner flags.
+   other artifact subcommand, and the CLI's refusal of bad artifact,
+   sweep and runner flags.
 
    The five CLI sweeps run through the real binary at one trial, seed 11,
    with --csv, --journal and (where offered) --json; stdout, the CSV file
@@ -201,11 +201,11 @@ let test_resume () =
   Alcotest.(check string) "churn csv" (golden "churn.csv") csv;
   Alcotest.(check string) "churn journal" (golden "churn.jsonl") jsonl
 
-(* Bad sweep and runner flags are refused up front: converter errors
-   exit 124 with cmdliner's usage hint, environment and file errors exit
-   2 with one line on stderr.  [env] prefixes the command line.
-   Cmdliner wraps long messages, so the 124 check reads stderr with
-   every whitespace run as one space. *)
+(* Bad artifact, sweep and runner flags are refused up front: converter
+   errors exit 124 with cmdliner's usage hint; environment, selection
+   and file errors exit 2 with one line on stderr.  [env] prefixes the
+   command line.  Cmdliner wraps long messages, so the 124 check reads
+   stderr with every whitespace run as one space. *)
 let refuse ?(env = "") args ~code ~message () =
   let err = temp ".stderr" in
   let got =
@@ -253,6 +253,14 @@ let refusals =
       ~message:"invalid --journal: /nonexistent/dir/j.jsonl: No such file or directory";
     case "DHTLB_DOMAINS=abc" ~env:"DHTLB_DOMAINS=abc " [ "head-to-head" ] ~code:2
       ~message:"DHTLB_DOMAINS must be a positive integer";
+    case "DHTLB_DOMAINS=abc ablate" ~env:"DHTLB_DOMAINS=abc " [ "ablate"; "stagger" ]
+      ~code:2 ~message:"DHTLB_DOMAINS must be a positive integer";
+    case "DHTLB_DOMAINS=abc summary" ~env:"DHTLB_DOMAINS=abc " [ "summary"; "ri" ]
+      ~code:2 ~message:"DHTLB_DOMAINS must be a positive integer";
+    case "fig 1 --csv" [ "fig"; "1"; "--csv"; "fig1.csv" ] ~code:2
+      ~message:"--csv: fig 1 writes no CSV";
+    case "fig 0" [ "fig"; "0" ] ~code:2 ~message:"no Figure 0 (figures are 1-14)";
+    case "fig 15" [ "fig"; "15" ] ~code:2 ~message:"no Figure 15 (figures are 1-14)";
     case "multi-trial --metrics" [ "simulate"; "--metrics" ] ~code:2
       ~message:"--metrics requires --trials 1";
     case "multi-trial --snapshot" [ "simulate"; "--trials"; "2"; "--snapshot"; "5" ] ~code:2
