@@ -2,9 +2,10 @@
 # CI entry point: full build, the whole test battery (normal and checked
 # mode), the differential-oracle smoke run (twice: plain, and with
 # metrics + a bounded trace sink to prove instrumentation does not
-# perturb the PRNG stream), smokes of the CLI, and the performance
-# ledger (bench/ledger: four workloads, digest-checked) gated against
-# the committed BENCH_ledger.json.
+# perturb the PRNG stream), smokes of the CLI and of the paper bench
+# harness (bench/main.exe), and the performance ledger (bench/ledger:
+# four workloads, digest-checked) gated against the committed
+# BENCH_ledger.json.
 set -eu
 
 cd "$(dirname "$0")"
@@ -206,6 +207,28 @@ echo "==> attack-off oracle smoke (adversary wired in, --attack off must stay bi
 # case budget so attack-off runs keep matching the naive reference
 # bit-for-bit with lib/adversary linked in.
 DHTLB_ORACLE_CASES=100 dune exec test/test_oracle.exe
+
+echo "==> bench harness smoke (five paper sections at one trial; bad environment refused)"
+# bench/main.exe prints the artifact list's bench sections.  Five of its
+# eleven at one trial must exit 0 (~12 s); an unknown DHTLB_ONLY section
+# and a bad DHTLB_DOMAINS must each exit 2 with one line on stderr,
+# before any work.
+DHTLB_TRIALS=1 DHTLB_SEED=11 \
+  DHTLB_ONLY=figures1-3,maintenance,failures,routing,timeline \
+  dune exec bench/main.exe >/dev/null
+bench_err=$(mktemp)
+for bad in DHTLB_ONLY=bogus DHTLB_DOMAINS=abc; do
+  status=0
+  env "$bad" ./_build/default/bench/main.exe >/dev/null 2>"$bench_err" || status=$?
+  if [ "$status" -ne 2 ] || [ "$(wc -l < "$bench_err")" -ne 1 ]; then
+    echo "==> bench harness refusal of $bad FAILED: exit $status, stderr:" >&2
+    cat "$bench_err" >&2
+    rm -f "$bench_err"
+    exit 1
+  fi
+  echo "    $bad refused: $(cat "$bench_err")"
+done
+rm -f "$bench_err"
 
 echo "==> full battery under the invariant harness (DHTLB_CHECK=1)"
 DHTLB_CHECK=1 dune runtest --force
