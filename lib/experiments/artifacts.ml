@@ -45,14 +45,10 @@ let figure n run =
 
 let paired (spec : Paired_figures.spec) =
   let n = spec.Paired_figures.fig in
-  (* This bench section has always ended with a blank line. *)
+  (* The figures4-14 bench section ends with a blank line. *)
   let trailer = if n = 14 then "\n" else "" in
   entry ("F" ^ string_of_int n) (Fig n) ~bench:(bench "figures4-14" ~trailer)
-    (seeded ~csv:snd
-       (fun ~seed ->
-         let specs = Paired_figures.specs ~seed () in
-         Paired_figures.render (List.find (fun s -> s.Paired_figures.fig = n) specs))
-       fst)
+    (seeded ~csv:snd (fun ~seed -> Paired_figures.render ~seed spec) fst)
 
 let sweep id name doc ?leg spec = entry id (Own (name, doc)) (Sweep (spec, leg))
 
@@ -110,7 +106,7 @@ let all =
               1.309\n")
       (Sweep (Sweep.churn, None));
   ]
-  @ List.map paired (Paired_figures.specs ())
+  @ List.map paired Paired_figures.specs
   @ Paper_rows.
       [
         summary "S-RI" "ri" "S-RI: Random Injection runtime factors (paper VI-B)"

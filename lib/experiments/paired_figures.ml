@@ -7,8 +7,9 @@ type spec = {
   at_tick : int;
 }
 
-let specs ?(seed = 42) () =
-  let base = { (Params.default ~nodes:1000 ~tasks:100_000) with Params.seed } in
+(* Every arm is built at the default seed; [render] sets the run's. *)
+let specs =
+  let base = Params.default ~nodes:1000 ~tasks:100_000 in
   let hetero = { base with Params.heterogeneity = Params.Heterogeneous } in
   let arm label params strategy = { label; params; strategy } in
   let none = arm "none" base Strategy.No_strategy in
@@ -41,13 +42,13 @@ let specs ?(seed = 42) () =
     spec 14 35 "invitation vs smart neighbor injection, tick 35" [ invitation; smart ];
   ]
 
-let render spec =
+let render ~seed spec =
   let series =
     List.map
       (fun arm ->
         let at = spec.at_tick in
-        let strategy = Strategy.make arm.strategy () in
-        let r = Engine.run ~snapshot_at:[ at ] arm.params strategy in
+        let params = { arm.params with Params.seed } in
+        let r = Engine.run ~snapshot_at:[ at ] params (Strategy.make arm.strategy ()) in
         (* empty when the run finished before the snapshot tick *)
         let workloads = Trace.snapshot_at_tick r.Engine.trace at in
         { Figure.label = arm.label; workloads = Option.value ~default:[||] workloads })

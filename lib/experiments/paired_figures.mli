@@ -15,11 +15,11 @@ type spec = {
   at_tick : int;
 }
 
-val specs : ?seed:int -> unit -> spec list
-(** Specifications for Figures 4 through 14. *)
+val specs : spec list
+(** Specifications for Figures 4 through 14, built at the default seed. *)
 
-val render : spec -> string * string
-(** Simulate every arm once; return the overlaid histogram table and
+val render : seed:int -> spec -> string * string
+(** Simulate every arm once at [seed]; return the overlaid histogram table and
     the same histograms as CSV.  An arm that finished before the
     snapshot tick is noted in the table and left out of both; the CSV
     is empty when no arm reached the tick. *)
