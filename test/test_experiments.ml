@@ -150,6 +150,19 @@ let test_artifact_list () =
     @ [ "S-RI"; "S-NI"; "S-INV" ] @ numbered "A" 1 5 @ numbered "E" 1 8
     @ [ "M1"; "R1"; "H1"; "W1"; "D1"; "R2"; "STREAM"; "ADV"; "HH" ])
     ids;
+  let benched f =
+    List.concat_map
+      (fun (_, entries) ->
+        List.filter_map (fun (b, e) -> if f b then Some e.Artifacts.id else None) entries)
+      Artifacts.sections
+  in
+  Alcotest.(check (list string)) "bench caps at 5 trials" [ "T1"; "R1" ]
+    (benched (fun b -> b.Artifacts.max_trials = Some 5));
+  Alcotest.(check (list string)) "paper-reference headers"
+    [ "T1"; "T2"; "M1"; "R1"; "H1"; "W1" ]
+    (benched (fun b -> b.Artifacts.header <> ""));
+  Alcotest.(check (list string)) "trailers" [ "F14" ]
+    (benched (fun b -> b.Artifacts.trailer <> ""));
   Alcotest.(check (list string)) "bench sections"
     [
       "table1"; "figures1-3"; "table2"; "figures4-14"; "summaries"; "ablations";
