@@ -721,7 +721,7 @@ let artifact_cmd entries =
     | Some doc -> Arg.(value & flag & info [ "json" ] ~doc)
     | None -> Term.const false
   in
-  let journal = any (fun f -> f.Artifacts.journal) in
+  let sweep = any (fun f -> f.Artifacts.journal) in
   let named = List.map (fun e -> (Artifacts.key e, e)) entries in
   let select_t =
     let positional c ~docv ?doc () =
@@ -767,8 +767,8 @@ let artifact_cmd entries =
       $ offer (any (fun f -> f.Artifacts.reads_trials)) trials_t 1
       $ seed_t
       $ offer (any (fun f -> f.Artifacts.writes_csv)) csv_t None
-      $ json_t $ offer journal journal_t None
-      $ offer journal trial_timeout_t None)
+      $ json_t $ offer sweep journal_t None
+      $ offer sweep trial_timeout_t None)
 
 let main_cmd =
   Cmd.group
