@@ -29,8 +29,13 @@ body_sha1 <40-hex sha1>
     marshaled state is only portable across builds whose type layout
     agrees, which a rev string can neither prove nor disprove. *)
 
+val format_version : int
+(** The version this build writes and the only one it reads.  It moves
+    with every layout change of {!Engine.progress}; test_checkpoint pins
+    it together with a digest of that layout. *)
+
 type header = {
-  version : int;  (** the file's format version (currently 4) *)
+  version : int;  (** the file's format version, {!format_version} *)
   git_rev : string;  (** revision recorded at save time *)
   params_digest : string;  (** SHA-1 over the marshaled {!Params.t} *)
   tick : int;  (** tick the checkpoint was taken at *)

@@ -237,7 +237,8 @@ let test_refuses_garbage () =
 let test_refuses_future_version () =
   with_temp_file ".ckpt" @@ fun path ->
   let oc = open_out_bin path in
-  output_string oc "DHTLB-CKPT v5\ngit_rev x\nparams_digest 0\ntick 0\n";
+  Printf.fprintf oc "DHTLB-CKPT v%d\ngit_rev x\nparams_digest 0\ntick 0\n"
+    (Checkpoint.format_version + 1);
   close_out oc;
   check_refused "version" ~substring:"unsupported checkpoint version"
     (Checkpoint.load ~path small_params)
@@ -321,6 +322,72 @@ let test_refuses_missing_file () =
   match Checkpoint.load ~path:"/nonexistent/dhtlb.ckpt" small_params with
   | Ok _ -> Alcotest.fail "loaded a nonexistent file"
   | Error _ -> ()
+
+(* ---- the layout pin ----------------------------------------------- *)
+
+(* A marshaled body is readable only under the type layout that wrote
+   it, and only [Checkpoint.format_version] tells layouts apart.  The pin
+   pairs the version with a digest of the block tags and sizes reachable
+   from a small canonical progress (values ignored), so a layout change
+   to State, Dht, Trace or Steady fails here until the version moves,
+   and the pin with it. *)
+let layout_pin = (4, "8b0ec82a35ac6cd1a4eaf4a67ca92eec")
+
+module Blocks = Hashtbl.Make (struct
+  type t = Obj.t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+(* Tag and size of every block reachable from [v], depth first, each
+   shared block once: holder lists name other vnode records, so the
+   graph has cycles.  [Hashtbl.hash] reads contents, not addresses, so a
+   collection moving a block cannot make it unseen. *)
+let layout_digest v =
+  let seen = Blocks.create 4096 and shape = Buffer.create 4096 in
+  let rec visit = function
+    | [] -> ()
+    | o :: rest when Obj.is_int o || Blocks.mem seen o -> visit rest
+    | o :: rest ->
+      Blocks.add seen o ();
+      let tag = Obj.tag o and size = Obj.size o in
+      Printf.bprintf shape "%d:%d;" tag size;
+      visit
+        (if tag >= Obj.no_scan_tag then rest
+         else List.init size (Obj.field o) @ rest)
+  in
+  visit [ Obj.repr v ];
+  Digest.to_hex (Digest.string (Buffer.contents shape))
+
+(* Replicas, arrivals and an attack plan on, so every optional part of
+   the state holds data; the digest is taken at the tick-4 snapshot. *)
+let canonical_params =
+  {
+    (Params.default ~nodes:8 ~tasks:60) with
+    Params.churn_rate = 0.05;
+    seed = 1;
+    replicas = 2;
+    arrivals =
+      {
+        Arrivals.none with
+        Arrivals.profile = Some (Arrivals.Poisson { rate = 3.0 });
+        horizon = 20;
+        window = 5;
+      };
+    attack =
+      { Attack.none with Attack.strength = 2; machines = 2; window = Some (2, 10) };
+  }
+
+let test_layout_pin () =
+  let digest = ref None in
+  let hook p = if !digest = None then digest := Some (layout_digest p) in
+  ignore
+    (Engine.run ~sink:Trace.Null ~checkpoint_every:4 ~checkpoint:hook
+       canonical_params Engine.no_strategy);
+  Alcotest.(check (pair int string))
+    "format_version and the progress layout move together" layout_pin
+    (Checkpoint.format_version, Option.get !digest)
 
 (* ---- the draw-free assertion -------------------------------------- *)
 
@@ -584,6 +651,8 @@ let () =
           Alcotest.test_case "flipped body byte" `Quick test_refuses_flipped_body_byte;
           Alcotest.test_case "missing file" `Quick test_refuses_missing_file;
         ] );
+      ( "layout",
+        [ Alcotest.test_case "version pinned to the layout" `Quick test_layout_pin ] );
       ( "draw-free",
         [
           Alcotest.test_case "hook that draws is refused" `Quick
