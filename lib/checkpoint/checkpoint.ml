@@ -8,7 +8,7 @@
 
    Layout (all header lines LF-terminated, body starts right after):
 
-     DHTLB-CKPT v4
+     DHTLB-CKPT v5
      git_rev <rev>
      params_digest <40-hex sha1>
      tick <n>
@@ -20,8 +20,13 @@
    version therefore moves with every layout change (v2: [Dht.t] became
    a chunked array index; v3: a vnode's keys became a packed byte buffer
    inside its record; v4: the replica map's repair-skip version gave way
-   to a dirty set of vnode ids), and the body digest refuses a torn or
-   altered body before a single byte of it is unmarshaled.
+   to a dirty set of vnode ids; v5: the replica map moved onto each
+   vnode's payload, as holder records, dirty and departed flags and a
+   repair queue), and the body digest refuses a torn or altered body
+   before a single byte of it is unmarshaled.  test_checkpoint pins the
+   version together with a digest of the block tags and sizes of a
+   canonical progress, so a layout change fails there until the version
+   moves.
 
    The body is marshaled with default flags: [Engine.progress] is plain
    data (no closures anywhere — the strategy is re-supplied at resume),
@@ -31,7 +36,7 @@
    [State.check_invariants] tests by physical equality). *)
 
 let magic = "DHTLB-CKPT"
-let format_version = 4
+let format_version = 5
 
 let current_git_rev () =
   match Sys.getenv_opt "DHTLB_GIT_REV" with

@@ -11,7 +11,7 @@
     The file is self-describing: a text header
 
     {v
-DHTLB-CKPT v4
+DHTLB-CKPT v5
 git_rev <rev>
 params_digest <40-hex sha1>
 tick <n>
@@ -20,7 +20,7 @@ body_sha1 <40-hex sha1>
 
     precedes the marshaled body.  {!load} refuses — with a clear error,
     before unmarshaling anything — files with the wrong magic, an
-    unsupported format version (v1 to v3 files, whose bodies have
+    unsupported format version (v1 to v4 files, whose bodies have
     other state layouts, included), a parameter digest that does not
     match the parameters the caller is about to resume under, or a body
     whose SHA-1 differs from [body_sha1] (a torn or altered file).  A

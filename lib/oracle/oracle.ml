@@ -136,12 +136,14 @@ type t = {
   mutable ring : ovnode list; (* ascending by id *)
   machs : omach array;
   msgs : msgs;
-  (* Live replica map, mirroring State.repl as an association list:
-     vnode id -> ids of its current backup holders.  Always [] when
-     [Params.replicas = 0].  Unlike the engine the oracle keeps no
-     dirty set: the engine's pass skips only vnodes that already hold
-     their successor lists, where the full walk draws and changes
-     nothing, so walking every vnode is bit-identical. *)
+  (* Live replica map, mirroring the holder lists on State's vnode
+     payloads as an association list: vnode id -> ids of its current
+     backup holders.  Always [] when [Params.replicas = 0].  Unlike the
+     engine the oracle keeps no repair queue: the engine's pass skips
+     only vnodes that already hold their successor lists, where the full
+     walk draws and changes nothing, so walking every vnode is
+     bit-identical.  And it prunes departed holders eagerly, where the
+     engine flags them departed and skips them at read time. *)
   mutable holders : (Id.t * Id.t list) list;
   initial_mean : float;
   mutable initial_tasks : int;
@@ -386,7 +388,7 @@ let transfer_work o ~src ~dst n =
     !moved
   end
 
-(* ---- live replica map (mirroring State.repl) --------------------- *)
+(* ---- live replica map (mirroring State's holder lists) ----------- *)
 
 let recovery_on o = Params.recovery_on o.params
 
@@ -408,7 +410,7 @@ let rec take n = function
   | [] -> []
   | x :: tl -> if n <= 0 then [] else x :: take (n - 1) tl
 
-(* Mirrors State.prune_holder: departures leave every holder list. *)
+(* Departures leave every holder list (the engine's readers skip them). *)
 let prune_holder o id =
   o.holders <-
     List.map
@@ -803,7 +805,7 @@ let apply_crash_bursts o =
     else List.iter (fail_phys_assumed o) victims
   end
 
-(* Mirrors State.repair_replicas without its dirty set: every
+(* Mirrors State.repair_replicas without its repair queue: every
    [repair_lag] ticks walk the whole ring ascending and restore each vnode's
    holder list to its current successor list — kept holders are free,
    each missing one costs a copy of the vnode's tasks and (iff

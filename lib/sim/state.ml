@@ -1,4 +1,30 @@
-type payload = { owner : int }
+(* A vnode's payload: its machine, and its live replica state
+   ([Params.replicas > 0]).  [holders] are the ring vnodes holding a
+   backup of its tasks: never the vnode itself, at most [replicas] of
+   them.  A holder that leaves the ring is not pruned but flagged
+   [departed], and every reader skips it (a machine rejoining at a listed
+   id does so as a new record, so a stale entry cannot fake a backup).
+   [dirty] is set exactly while the vnode sits in [t.repair_queue], the
+   vnodes the next repair pass visits: a ring vnode not flagged is clean,
+   backed by exactly its current successor list, so the full walk the
+   oracle runs would draw and charge nothing there.  Every membership
+   change flags the vnodes it can touch; a pass clears what it fixes.
+   Without replicas every vnode shares the [unreplicated] record, which
+   is never written, so replication off costs one word per vnode. *)
+type payload = { owner : int; replica : replica }
+
+and replica = {
+  mutable holders : payload Dht.vnode list;
+  mutable dirty : bool;
+  mutable departed : bool;
+}
+
+let unreplicated = { holders = []; dirty = false; departed = false }
+
+let payload (params : Params.t) owner =
+  if Params.recovery_on params then
+    { owner; replica = { unreplicated with holders = [] } }
+  else { owner; replica = unreplicated }
 
 (* A machine's ring presences are held as the live [Dht.vnode] records,
    not ids: the consume/workload hot paths touch every machine every
@@ -29,25 +55,6 @@ type phys = {
   mutable puzzle : admission option;
 }
 
-(* Live replica map ([Params.replicas > 0] only): vnode id -> ids of the
-   ring vnodes currently holding a backup of its tasks.  Holder lists
-   exclude the owner, contain only live ring members (departures are
-   pruned eagerly — with pinned identities a machine can rejoin at an id
-   a stale list still names, which would fake a backup), and are capped
-   at [replicas].  [backs] is the exact reverse index (holder id -> the
-   vnodes whose lists name it): pruning a departure used to scan every
-   holder list, which made each churn departure O(ring).  [dirty] holds
-   the ids the next repair pass must visit: every ring vnode outside it
-   is clean, holding exactly its current successor list, so the full
-   walk the oracle runs would draw and charge nothing there.  Every
-   membership change marks the vnodes it can touch; a pass clears what
-   it fixes. *)
-type repl = {
-  holders : (Id.t, Id.t list) Hashtbl.t;
-  backs : (Id.t, Id.t list ref) Hashtbl.t;
-  dirty : (Id.t, unit) Hashtbl.t;
-}
-
 type t = {
   params : Params.t;
   dht : payload Dht.t;
@@ -58,7 +65,6 @@ type t = {
   krng : Prng.t;
   partitioned : int;
   attackers : int list;
-  repl : repl option;
   initial_mean : float;
   initial_tasks : int;
   hot_centers : Id.t array;
@@ -69,59 +75,10 @@ type t = {
   mutable n_active : int;
   mutable arrived_total : int;
   mutable tick_sojourns : int list;
+  mutable repair_queue : payload Dht.vnode list;
 }
 
-(* --- Replica reverse-index bookkeeping --------------------------------
-   [holders] and [backs] always change together through these helpers;
-   the checked-mode invariant verifies they stay exact inverses. *)
-
-let holders r v = Option.value ~default:[] (Hashtbl.find_opt r.holders v)
-
-let backs_add r h v =
-  match Hashtbl.find_opt r.backs h with
-  | None -> Hashtbl.replace r.backs h (ref [ v ])
-  | Some l -> if not (List.exists (Id.equal v) !l) then l := v :: !l
-
-let backs_remove r h v =
-  match Hashtbl.find_opt r.backs h with
-  | None -> ()
-  | Some l ->
-    l := List.filter (fun x -> not (Id.equal x v)) !l;
-    if !l = [] then Hashtbl.remove r.backs h
-
-(* Replace vnode [v]'s holder list, diffing the reverse index. *)
-let set_holders r v hs =
-  let old = holders r v in
-  List.iter
-    (fun h -> if not (List.exists (Id.equal h) hs) then backs_remove r h v)
-    old;
-  List.iter
-    (fun h -> if not (List.exists (Id.equal h) old) then backs_add r h v)
-    hs;
-  Hashtbl.replace r.holders v hs
-
-(* Forget vnode [v]'s own entry (it left the ring). *)
-let drop_holder_entry r v =
-  List.iter (fun h -> backs_remove r h v) (holders r v);
-  Hashtbl.remove r.holders v
-
-(* Drop departed id [h] from every holder list that names it — the
-   reverse index knows exactly which, so a departure costs O(lists
-   naming it) instead of a scan of the whole map. *)
-let prune_holder r h =
-  match Hashtbl.find_opt r.backs h with
-  | None -> ()
-  | Some l ->
-    let backed = !l in
-    Hashtbl.remove r.backs h;
-    List.iter
-      (fun v ->
-        match Hashtbl.find_opt r.holders v with
-        | None -> ()
-        | Some hs ->
-          Hashtbl.replace r.holders v
-            (List.filter (fun x -> not (Id.equal x h)) hs))
-      backed
+let live vn = not vn.Dht.payload.replica.departed
 
 (* --- Construction ------------------------------------------------------
    [create] and [For_testing.build] differ only in where the machines,
@@ -156,15 +113,7 @@ let machine ~pid ~strength ~original_id ?(straggler = false)
    vnode array gives each vnode the same successor list a
    [Dht.k_successors] walk would, without n O(k log n) walks. *)
 let enrol_replicas (params : Params.t) dht =
-  if not (Params.recovery_on params) then None
-  else begin
-    let r =
-      {
-        holders = Hashtbl.create 256;
-        backs = Hashtbl.create 256;
-        dirty = Hashtbl.create 256;
-      }
-    in
+  if Params.recovery_on params then begin
     let m = Dht.messages dht in
     let vns = Array.of_list (List.rev (Dht.fold List.cons dht [])) in
     let count = Array.length vns in
@@ -173,10 +122,9 @@ let enrol_replicas (params : Params.t) dht =
       (fun i vn ->
         m.Messages.replications <-
           m.Messages.replications + (want * Dht.load vn);
-        set_holders r vn.Dht.id
-          (List.init want (fun j -> vns.((i + j + 1) mod count).Dht.id)))
-      vns;
-    Some r
+        vn.Dht.payload.replica.holders <-
+          List.init want (fun j -> vns.((i + j + 1) mod count)))
+      vns
   end
 
 (* Store the task keys, enrol their replicas and assemble the record.
@@ -193,7 +141,7 @@ let assemble (params : Params.t) ~dht ~phys ~rng ~frng ~arng ~krng
     | Ok n -> n (* duplicate keys (negligible probability) drop silently *)
     | Error `Empty_ring -> invalid_arg "State: task keys for an empty ring"
   in
-  let repl = enrol_replicas params dht in
+  enrol_replicas params dht;
   let arrivals_on = Arrivals.enabled params.arrivals in
   let birth = Hashtbl.create (if arrivals_on then 4096 else 1) in
   if arrivals_on then Array.iter (fun k -> Hashtbl.replace birth k 0) keys;
@@ -207,7 +155,6 @@ let assemble (params : Params.t) ~dht ~phys ~rng ~frng ~arng ~krng
     krng;
     partitioned;
     attackers;
-    repl;
     initial_mean = float_of_int params.tasks /. float_of_int params.nodes;
     initial_tasks;
     hot_centers;
@@ -219,6 +166,7 @@ let assemble (params : Params.t) ~dht ~phys ~rng ~frng ~arng ~krng
       Array.fold_left (fun acc p -> if p.active then acc + 1 else acc) 0 phys;
     arrived_total = 0;
     tick_sojourns = [];
+    repair_queue = [];
   }
 
 let create (params : Params.t) =
@@ -274,7 +222,7 @@ let create (params : Params.t) =
   let dht = Dht.create () in
   let primaries =
     Array.init n (fun pid ->
-        match Dht.join dht ~id:ids.(pid) ~payload:{ owner = pid } with
+        match Dht.join dht ~id:ids.(pid) ~payload:(payload params pid) with
         | Ok vn -> vn
         | Error `Occupied -> assert false (* node ids are drawn distinct *))
   in
@@ -441,64 +389,73 @@ let add_hops t hops =
 
 let charge_lookup t = add_hops t (lookup_cost t)
 
-(* --- Replica-map maintenance -------------------------------------------
-   Only live when [Params.replicas > 0] ([t.repl = Some _]); every helper
-   is a no-op otherwise, so the recovery-off engine is untouched.  The
-   bookkeeping below is deterministic (no draws); the only recovery
-   randomness is the optional repl_drop bernoulli in the repair pass. *)
+(* --- Replica maintenance -------------------------------------------------
+   Only live when [Params.replicas > 0]; every helper is a no-op
+   otherwise, so the recovery-off engine is untouched and the shared
+   [unreplicated] record is never written.  The bookkeeping below is
+   deterministic (no draws); the only recovery randomness is the
+   optional repl_drop bernoulli in the repair pass. *)
+
+let replicated t = Params.recovery_on t.params
 
 let replica_holders t id =
-  match t.repl with None -> [] | Some r -> holders r id
+  match Dht.find t.dht id with
+  | None -> []
+  | Some vn ->
+    List.filter_map
+      (fun h -> if live h then Some h.Dht.id else None)
+      vn.Dht.payload.replica.holders
 
 let rec take n = function
   | [] -> []
   | x :: tl -> if n <= 0 then [] else x :: take (n - 1) tl
 
-let mark r id = Hashtbl.replace r.dirty id ()
+(* Flag [vn] for the next repair pass, queueing it once. *)
+let mark t vn =
+  let r = vn.Dht.payload.replica in
+  if not r.dirty then begin
+    r.dirty <- true;
+    t.repair_queue <- vn :: t.repair_queue
+  end
 
 (* The vnodes whose successor lists reach position [id] of the current
    ring: the only ones a member arriving or departing there can move. *)
-let mark_predecessors t r id =
-  List.iter
-    (fun (vn : payload Dht.vnode) -> mark r vn.Dht.id)
-    (Dht.k_predecessors t.dht id t.params.Params.replicas)
+let mark_predecessors t id =
+  List.iter (mark t) (Dht.k_predecessors t.dht id t.params.Params.replicas)
 
-(* A vnode that just joined at [id] took over part of its successor's
-   arc; that donor keeps holding the handed-over tasks, so the newcomer
-   starts out backed by the donor plus the donor's own holders (capped
-   at [replicas]) until the next repair pass rebuilds its true successor
+(* A vnode that just joined took over part of its successor's arc; that
+   donor keeps holding the handed-over tasks, so the newcomer starts out
+   backed by the donor plus the donor's own live holders (capped at
+   [replicas]) until the next repair pass rebuilds its true successor
    list.  The ring's first vnode is its own successor and has no
    donor. *)
-let repl_note_join t id =
-  match t.repl with
-  | None -> ()
-  | Some r ->
-    set_holders r id
-      (match Dht.successor t.dht id with
-      | Some d when not (Id.equal d.Dht.id id) ->
-        take t.params.Params.replicas (d.Dht.id :: holders r d.Dht.id)
-      | _ -> []);
-    mark r id;
-    mark_predecessors t r id
+let repl_note_join t vn =
+  if replicated t then begin
+    (match Dht.successor t.dht vn.Dht.id with
+    | Some d when d != vn ->
+      vn.Dht.payload.replica.holders <-
+        take t.params.Params.replicas
+          (d :: List.filter live d.Dht.payload.replica.holders)
+    | _ -> ());
+    mark t vn;
+    mark_predecessors t vn.Dht.id
+  end
 
 (* A graceful leave just merged the leaver's range into its successor:
    a holder backs the merged range only if it already backed both parts,
    so the recipient's list intersects with the leaver's. *)
-let repl_note_leave t id =
-  match t.repl with
-  | None -> ()
-  | Some r ->
-    let own = holders r id in
-    drop_holder_entry r id;
-    (match Dht.successor t.dht id with
+let repl_note_leave t vn =
+  if replicated t then begin
+    let own = vn.Dht.payload.replica in
+    own.departed <- true;
+    (match Dht.successor t.dht vn.Dht.id with
     | None -> ()
     | Some s ->
-      let s = s.Dht.id in
-      set_holders r s
-        (List.filter (fun h -> List.exists (Id.equal h) own) (holders r s));
-      mark r s);
-    prune_holder r id;
-    mark_predecessors t r id
+      let r = s.Dht.payload.replica in
+      r.holders <- List.filter (fun h -> List.memq h own.holders) r.holders;
+      mark t s);
+    mark_predecessors t vn.Dht.id
+  end
 
 (* --- Ring moves ----------------------------------------------------------
    Every join and every graceful leave of a running simulation goes
@@ -508,10 +465,10 @@ let repl_note_leave t id =
 
 (* [false], changing nothing, when [id] is occupied. *)
 let join_vnode t p id =
-  match Dht.join t.dht ~id ~payload:{ owner = p.pid } with
+  match Dht.join t.dht ~id ~payload:(payload t.params p.pid) with
   | Error `Occupied -> false
   | Ok vn ->
-    repl_note_join t id;
+    repl_note_join t vn;
     p.vnodes <- p.vnodes @ [ vn ];
     true
 
@@ -526,7 +483,7 @@ let leave_vnode t p (vn : payload Dht.vnode) =
   | Error `Last_node -> false
   | Error `Not_member -> assert false
   | Ok () ->
-    repl_note_leave t vn.Dht.id;
+    repl_note_leave t vn;
     p.vnodes <- without vn p.vnodes;
     true
 
@@ -665,31 +622,27 @@ let relocate_phys t pid ~id =
    [Replication.loss_after_failure] on the same ring).  There is no
    last-node protection here: a crash does not ask permission, so a
    large enough event may empty the ring and lose everything. *)
-let crash_machines t r pids =
-  let dying =
+let crash_machines t pids =
+  let removed =
     List.concat_map
       (fun pid ->
-        List.map (fun (vn : payload Dht.vnode) -> vn.Dht.id) t.phys.(pid).vnodes)
+        List.map
+          (fun vn ->
+            vn.Dht.payload.replica.departed <- true;
+            match Dht.crash t.dht vn.Dht.id with
+            | Ok keys -> (vn, keys)
+            | Error `Not_member -> assert false)
+          t.phys.(pid).vnodes)
       pids
-  in
-  let dead = Hashtbl.create 16 in
-  List.iter (fun id -> Hashtbl.replace dead id ()) dying;
-  let removed =
-    List.map
-      (fun id ->
-        match Dht.crash t.dht id with
-        | Ok keys -> (id, keys)
-        | Error `Not_member -> assert false)
-      dying
   in
   List.iter (fun pid -> deactivate t t.phys.(pid)) pids;
   let m = Dht.messages t.dht in
   List.iter
-    (fun (id, keys) ->
-      (* Eager pruning keeps holder lists inside the ring, so a holder
-         is live iff it did not die in this same event. *)
-      if List.exists (fun h -> not (Hashtbl.mem dead h)) (holders r id) then
-        ignore (Dht.restore t.dht ~near:id keys)
+    (fun (vn, keys) ->
+      (* Every vnode of the event is flagged by now, so a holder is live
+         iff it neither left earlier nor died in this same event. *)
+      if List.exists live vn.Dht.payload.replica.holders then
+        ignore (Dht.restore t.dht ~near:vn.Dht.id keys)
       else begin
         m.Messages.tasks_lost <- m.Messages.tasks_lost + Dht.keys_count keys;
         (* Lost tasks never complete: close their ledger entries so the
@@ -698,10 +651,8 @@ let crash_machines t r pids =
           Dht.keys_iter (fun k -> Hashtbl.remove t.birth k) keys
       end)
     removed;
-  List.iter (fun (id, _) -> drop_holder_entry r id) removed;
-  List.iter (fun (id, _) -> prune_holder r id) removed;
   (* Read from the ring after every removal of the event. *)
-  List.iter (fun (id, _) -> mark_predecessors t r id) removed
+  List.iter (fun (vn, _) -> mark_predecessors t vn.Dht.id) removed
 
 (* Ungraceful death of [pids], the one dispatch behind churn failures,
    the attack's window-close crash and crash bursts.  With live
@@ -715,9 +666,8 @@ let crash_machines t r pids =
    vnode refuses the departure (`Last_node) and keeps serving its keys,
    so there is nothing to recover. *)
 let fail_machines t pids =
-  match t.repl with
-  | Some r -> crash_machines t r pids
-  | None ->
+  if replicated t then crash_machines t pids
+  else
     List.iter
       (fun pid ->
         let lost_keys = workload_of_phys t pid in
@@ -1014,42 +964,34 @@ let apply_crash_bursts t =
    that fell out of the successor list (ring drift) are dropped.  A
    clean vnode has no missing holder and no drifted one, so the full
    walk the oracle runs draws, charges and changes nothing there; a
-   dirty id that has left the ring is skipped. *)
+   queued vnode that has left the ring is skipped. *)
 let repair_replicas t =
-  match t.repl with
-  | None -> ()
-  | Some r ->
-    if t.tick mod t.params.Params.repair_lag = 0 && Hashtbl.length r.dirty > 0
-    then begin
-      let m = Dht.messages t.dht in
-      let p = t.params.Params.faults.Faults.repl_drop in
-      let ids = Hashtbl.fold (fun id () acc -> id :: acc) r.dirty [] in
-      Hashtbl.clear r.dirty;
-      List.iter
-        (fun id ->
-          match Dht.find t.dht id with
-          | None -> ()
-          | Some vn ->
-            let current = holders r id in
-            let hs =
-              List.filter_map
-                (fun s ->
-                  let hid = s.Dht.id in
-                  if List.exists (Id.equal hid) current then Some hid
-                  else if Prng.bernoulli t.frng p then begin
-                    mark r id;
-                    None
-                  end
-                  else begin
-                    m.Messages.replications <-
-                      m.Messages.replications + Dht.load vn;
-                    Some hid
-                  end)
-                (Dht.k_successors t.dht id t.params.Params.replicas)
-            in
-            set_holders r id hs)
-        (List.sort Id.compare ids)
-    end
+  if t.repair_queue <> [] && t.tick mod t.params.Params.repair_lag = 0 then begin
+    let m = Dht.messages t.dht in
+    let p = t.params.Params.faults.Faults.repl_drop in
+    let queued = t.repair_queue in
+    t.repair_queue <- [];
+    List.iter (fun vn -> vn.Dht.payload.replica.dirty <- false) queued;
+    List.iter
+      (fun vn ->
+        let r = vn.Dht.payload.replica in
+        if not r.departed then
+          r.holders <-
+            List.filter_map
+              (fun s ->
+                if List.memq s r.holders then Some s
+                else if Prng.bernoulli t.frng p then begin
+                  mark t vn;
+                  None
+                end
+                else begin
+                  m.Messages.replications <-
+                    m.Messages.replications + Dht.load vn;
+                  Some s
+                end)
+              (Dht.k_successors t.dht vn.Dht.id t.params.Params.replicas))
+      (List.sort (fun a b -> Id.compare a.Dht.id b.Dht.id) queued)
+  end
 
 (* Smart-neighbor retry bookkeeping.  A machine whose workload queries
    timed out waits [Faults.backoff] ticks between attempts; when the
@@ -1179,72 +1121,63 @@ let check_tick_invariants t =
   then invalid_arg "State: arrival state moved without an arrival plan";
   (* Recovery-off laws: without live replication nothing is ever lost
      and no replication traffic flows. *)
-  if not (Params.recovery_on t.params) then begin
+  if not (replicated t) then begin
     if m.Messages.tasks_lost <> 0 then
       invalid_arg "State: tasks lost with live replication off";
     if m.Messages.replications <> 0 then
       invalid_arg "State: replication traffic with live replication off"
   end;
-  (* Holder-map structural laws: one entry per ring vnode; holders are
-     live ring members, never the owner, never duplicated, at most
-     [replicas] of them; and the reverse index is the exact inverse of
-     the holder lists (the pruning fast path depends on it).  Then the
-     clean-vnode law the repair pass rests on: a vnode outside the dirty
-     set holds exactly its successor list, in order — a join copies a
-     prefix of its donor's list, and recovery reads the first survivor. *)
-  (match t.repl with
-  | None -> ()
-  | Some r ->
-    if Hashtbl.length r.holders <> Dht.size t.dht then
-      invalid_arg
-        (Printf.sprintf "State: replica map has %d entries but the ring has %d"
-           (Hashtbl.length r.holders) (Dht.size t.dht));
-    let pairs = ref 0 in
-    Hashtbl.iter
-      (fun id hs ->
-        if Dht.find t.dht id = None then
-          invalid_arg "State: replica map entry for a vnode not in the ring";
-        if List.length hs > t.params.Params.replicas then
-          invalid_arg "State: holder list longer than the replication degree";
-        let seen = Hashtbl.create 8 in
-        List.iter
-          (fun h ->
-            if Id.equal h id then
-              invalid_arg "State: vnode listed as its own replica holder";
-            if Hashtbl.mem seen h then
-              invalid_arg "State: duplicate replica holder";
-            Hashtbl.replace seen h ();
-            if Dht.find t.dht h = None then
-              invalid_arg "State: replica holder not in the ring (stale entry)";
-            incr pairs;
-            match Hashtbl.find_opt r.backs h with
-            | Some l when List.exists (Id.equal id) !l -> ()
-            | _ ->
-              invalid_arg
-                "State: holder missing from the replica reverse index")
-          hs)
-      r.holders;
-    let rev_pairs =
-      Hashtbl.fold (fun _ l acc -> acc + List.length !l) r.backs 0
+  (* Holder-map laws ([replicas > 0]): the departed flags are exact, so
+     skipping them is; lists are short, distinct and never name their
+     owner; the queue holds exactly the flagged vnodes.  Then the
+     clean-vnode law the repair pass rests on, over live holders: a ring
+     of at most [replicas] vnodes has fewer predecessors to mark than a
+     list names, so a clean list may keep naming a departed vnode. *)
+  if replicated t then begin
+    let unflagged h =
+      live h
+      && match Dht.find t.dht h.Dht.id with Some v -> v != h | None -> true
     in
-    if rev_pairs <> !pairs then
-      invalid_arg
-        (Printf.sprintf
-           "State: replica reverse index has %d pairs but holder lists have %d"
-           rev_pairs !pairs);
+    let flagged = ref 0 in
     Dht.iter
       (fun vn ->
-        let id = vn.Dht.id in
-        if not (Hashtbl.mem r.dirty id) then begin
-          let want =
-            List.map
-              (fun (s : payload Dht.vnode) -> s.Dht.id)
-              (Dht.k_successors t.dht id t.params.Params.replicas)
-          in
-          if not (List.equal Id.equal (holders r id) want) then
-            invalid_arg "State: clean vnode's holders differ from its successors"
-        end)
-      t.dht);
+        let r = vn.Dht.payload.replica in
+        if r.departed then invalid_arg "State: ring vnode flagged departed";
+        if r.dirty then incr flagged;
+        if List.length r.holders > t.params.Params.replicas then
+          invalid_arg "State: holder list longer than the replication degree";
+        let rec laws = function
+          | [] -> ()
+          | h :: rest ->
+            if Id.equal h.Dht.id vn.Dht.id then
+              invalid_arg "State: vnode listed as its own replica holder";
+            if List.exists (fun o -> Id.equal o.Dht.id h.Dht.id) rest then
+              invalid_arg "State: duplicate replica holder";
+            if unflagged h then
+              invalid_arg "State: vnode off the ring not flagged departed";
+            laws rest
+        in
+        laws r.holders)
+      t.dht;
+    if List.exists unflagged t.repair_queue then
+      invalid_arg "State: vnode off the ring not flagged departed";
+    if
+      List.exists (fun vn -> not vn.Dht.payload.replica.dirty) t.repair_queue
+      || List.length (List.filter live t.repair_queue) <> !flagged
+    then invalid_arg "State: repair queue and dirty flags disagree";
+    Dht.iter
+      (fun vn ->
+        let r = vn.Dht.payload.replica in
+        if
+          (not r.dirty)
+          && not
+               (List.equal ( == )
+                  (List.filter live r.holders)
+                  (Dht.k_successors t.dht vn.Dht.id t.params.Params.replicas))
+        then
+          invalid_arg "State: clean vnode's holders differ from its successors")
+      t.dht
+  end;
   (* Sybil caps: no machine exceeds max_sybils (homogeneous) or its
      strength (heterogeneous).  Malicious machines under an enabled
      attack plan are exempt — the adversarial injection path fabricates
@@ -1370,7 +1303,7 @@ module For_testing = struct
           machine ~pid ~strength ~original_id
             (List.map
                (fun id ->
-                 match Dht.join dht ~id ~payload:{ owner = pid } with
+                 match Dht.join dht ~id ~payload:(payload params pid) with
                  | Ok vn -> vn
                  | Error `Occupied ->
                    invalid_arg "State.For_testing.build: duplicate vnode id")
@@ -1386,9 +1319,20 @@ module For_testing = struct
       ~krng:(Attack.rng ~seed) ~partitioned:(-1) ~attackers:[]
       ~hot_centers:[||] (Array.of_list keys)
 
-  let rewrite_holders ?(reindex = true) t id hs =
-    match t.repl with
-    | None -> invalid_arg "State.For_testing.rewrite_holders: replication is off"
-    | Some r ->
-      if reindex then set_holders r id hs else Hashtbl.replace r.holders id hs
+  let rewrite_holders t id hs =
+    if not (replicated t) then
+      invalid_arg "State.For_testing.rewrite_holders: replication is off";
+    let vnode id =
+      match Dht.find t.dht id with
+      | Some vn -> vn
+      | None -> invalid_arg "State.For_testing.rewrite_holders: id not in the ring"
+    in
+    (vnode id).Dht.payload.replica.holders <- List.map vnode hs
+
+  let flag vn ~dirty ~departed =
+    let r = vn.Dht.payload.replica in
+    if r == unreplicated then
+      invalid_arg "State.For_testing.flag: replication is off";
+    r.dirty <- dirty;
+    r.departed <- departed
 end

@@ -11,8 +11,16 @@
     the initial network plus an equal-sized waiting pool; machines move
     between the two sets at [churn_rate] per tick. *)
 
-type payload = { owner : int }
-(** DHT vnode payload: index of the owning physical node. *)
+type payload = private { owner : int; replica : replica }
+(** DHT vnode payload: index of the owning physical node, and the
+    vnode's replica state. *)
+
+and replica
+(** A vnode's live replica state ([Params.replicas > 0]): the vnodes
+    holding its backups, and whether the next repair pass must visit it
+    or it has left the ring.  Every vnode of a run without replicas
+    shares one record that is never written.  Opaque; query through
+    {!replica_holders}. *)
 
 type admission = private { adm_id : Id.t; ready : int; from_attack : bool }
 (** A pending Sybil admission under the puzzle defense
@@ -46,12 +54,6 @@ type phys = private {
           the defense off, cleared on leave/crash *)
 }
 
-type repl
-(** Live replica map ([Params.replicas > 0] only): which ring vnodes
-    hold a backup of each vnode's tasks, plus the dirty set of vnodes
-    the next repair pass must visit.  Opaque; query through
-    {!replica_holders}. *)
-
 type t = private {
   params : Params.t;
   dht : payload Dht.t;
@@ -72,7 +74,6 @@ type t = private {
   attackers : int list;
       (** pids of the malicious machines, ascending; [[]] without an
           enabled attack plan *)
-  repl : repl option;  (** [Some] iff [Params.recovery_on params] *)
   initial_mean : float;  (** tasks / nodes at start *)
   initial_tasks : int;  (** keys actually stored at setup (conservation) *)
   hot_centers : Id.t array;
@@ -97,6 +98,9 @@ type t = private {
   mutable tick_sojourns : int list;
       (** sojourns settled during the current tick's consume phase, for
           the steady-state window collector; reset at each consume *)
+  mutable repair_queue : payload Dht.vnode list;
+      (** the vnodes flagged for the next {!repair_replicas} pass, each
+          once; always [[]] with replication off *)
 }
 
 val create : Params.t -> t
@@ -205,9 +209,10 @@ val apply_churn : t -> unit
     No-op when both rates are 0. *)
 
 val replica_holders : t -> Id.t -> Id.t list
-(** Current replica holders of a vnode's tasks (never including the
-    vnode itself; at most [replicas]); [[]] when recovery is off or the
-    id is unknown. *)
+(** Current replica holders of a ring vnode's tasks, in list order: the
+    live vnodes its holder list names (never the vnode itself; at most
+    [replicas]); [[]] when recovery is off or the id is not in the
+    ring. *)
 
 val repair_replicas : t -> unit
 (** The lazy repair pass (engine hook; no-op when [replicas = 0]).
@@ -221,8 +226,8 @@ val repair_replicas : t -> unit
     marks dirty the [replicas] predecessors of the changed position,
     the joiner, and a graceful leaver's successor; every other vnode
     already holds exactly its successors, so the full walk the oracle
-    runs would draw, charge and change nothing there.  The pass costs
-    O(dirty), not O(ring). *)
+    runs would draw, charge and change nothing there.  The pass visits
+    only the repair queue: O(dirty), not O(ring). *)
 
 val apply_arrivals : t -> int
 (** One tick of the arrival process (no-op returning 0 under
@@ -371,11 +376,13 @@ val check_tick_invariants : t -> unit
     - {b admission laws}: with the defense off, no admission slot exists
       and [puzzles] is pinned to zero; with it on, slots live only on
       active machines with deadlines within [puzzle_cost] of now;
-    - {b holder-map laws} ([replicas > 0]): one holder list per ring
-      vnode, each at most [replicas] distinct live ring vnodes other
-      than its owner, the reverse index their exact inverse, and every
-      vnode outside the repair pass's dirty set backed by exactly its
-      [replicas] ring successors, in order;
+    - {b holder-map laws} ([replicas > 0]): no ring vnode is flagged
+      departed, and every vnode off the ring that a holder list or the
+      repair queue names is; each holder list names at most [replicas]
+      distinct vnodes other than its owner; a vnode is flagged dirty
+      exactly while it is queued for repair; and every vnode not flagged
+      dirty is backed by exactly its [replicas] ring successors, in
+      order, once departed holders are skipped;
     - {b ring-presence accounting}: ring size equals the sum of the
       machines' vnode lists;
     - {b message accounting}: [joins - leaves] equals the ring size.
@@ -401,10 +408,16 @@ module For_testing : sig
       @raise Invalid_argument on duplicate vnode ids, an all-waiting
       machine array with keys, or invalid [params]. *)
 
-  val rewrite_holders : ?reindex:bool -> t -> Id.t -> Id.t list -> unit
-  (** [rewrite_holders t id hs] sets [id]'s replica holder list to [hs]
-      verbatim, adding an entry when [id] has none — a way to break a
-      holder-map law on purpose.  The reverse index follows the new list
-      unless [~reindex:false].  Tests only.
-      @raise Invalid_argument when replication is off. *)
+  val rewrite_holders : t -> Id.t -> Id.t list -> unit
+  (** [rewrite_holders t id hs] sets ring vnode [id]'s holder list to the
+      ring's records at [hs], verbatim — a way to break a holder-map law
+      on purpose.  Tests only.
+      @raise Invalid_argument when replication is off or an id is not in
+      the ring. *)
+
+  val flag : payload Dht.vnode -> dirty:bool -> departed:bool -> unit
+  (** [flag vn ~dirty ~departed] sets a vnode record's repair and
+      departure flags verbatim, leaving the repair queue alone — a way
+      to break the flag laws on purpose.  Tests only.
+      @raise Invalid_argument on a vnode of a run without replication. *)
 end

@@ -290,16 +290,18 @@ let test_refuses_v1 () =
   check_refused "v1" ~substring:"unsupported checkpoint version"
     (Checkpoint.load ~path small_params)
 
-(* A v3 file: the current header with its version line rolled back.
-   Every other line matches, the body digest included, so only the
-   version refuses it — v3 bodies carry the replica map's old record. *)
-let test_refuses_v3 () =
+(* A v3 or v4 file: the current header with its version line rolled
+   back.  Every other line matches, the body digest included, so only the
+   version refuses it — v3 and v4 bodies carry older replica maps. *)
+let test_refuses_rolled_back version () =
   with_temp_file ".ckpt" @@ fun path ->
   write_checkpoint ~path small_params;
   let header, body = read_checkpoint path in
-  let v3 = "DHTLB-CKPT v3" :: List.tl header in
-  write_file path (String.concat "\n" v3 ^ "\n" ^ body);
-  check_refused "v3" ~substring:"unsupported checkpoint version"
+  let old = Printf.sprintf "DHTLB-CKPT v%d" version :: List.tl header in
+  write_file path (String.concat "\n" old ^ "\n" ^ body);
+  check_refused
+    (Printf.sprintf "v%d" version)
+    ~substring:"unsupported checkpoint version"
     (Checkpoint.load ~path small_params)
 
 let test_refuses_flipped_body_byte () =
@@ -331,7 +333,7 @@ let test_refuses_missing_file () =
    from a small canonical progress (values ignored), so a layout change
    to State, Dht, Trace or Steady fails here until the version moves,
    and the pin with it. *)
-let layout_pin = (4, "8b0ec82a35ac6cd1a4eaf4a67ca92eec")
+let layout_pin = (5, "8a4c8396c32a7125759cd88813149346")
 
 module Blocks = Hashtbl.Make (struct
   type t = Obj.t
@@ -647,7 +649,8 @@ let () =
           Alcotest.test_case "future version" `Quick test_refuses_future_version;
           Alcotest.test_case "truncated body" `Quick test_refuses_truncated_body;
           Alcotest.test_case "v1 checkpoint" `Quick test_refuses_v1;
-          Alcotest.test_case "v3 checkpoint" `Quick test_refuses_v3;
+          Alcotest.test_case "v3 checkpoint" `Quick (test_refuses_rolled_back 3);
+          Alcotest.test_case "v4 checkpoint" `Quick (test_refuses_rolled_back 4);
           Alcotest.test_case "flipped body byte" `Quick test_refuses_flipped_body_byte;
           Alcotest.test_case "missing file" `Quick test_refuses_missing_file;
         ] );

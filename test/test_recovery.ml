@@ -513,12 +513,26 @@ let tripwire name msg breach =
       | () -> Alcotest.failf "the breach went unseen (expected %S)" msg
       | exception Invalid_argument got -> Alcotest.(check string) "law" msg got)
 
-let rewrite ?reindex i hs s =
-  State.For_testing.rewrite_holders ?reindex s ring_ids.(i) hs
+let rewrite i hs s = State.For_testing.rewrite_holders s ring_ids.(i) hs
+
+let vnode s i = Option.get (Dht.find s.State.dht ring_ids.(i))
+let flag ?(dirty = false) ?(departed = false) vn =
+  State.For_testing.flag vn ~dirty ~departed
+
+(* Machine 3 leaves gracefully: its vnode (ring position 4) is flagged
+   departed while two holder lists still name it, and the repair queue
+   holds its two predecessors and its successor. *)
+let leave_last s =
+  let vn = vnode s 4 in
+  State.leave_phys s 3;
+  vn
 
 (* A vnode no membership change marked must hold exactly its
    successors, order included. *)
 let clean_law = "State: clean vnode's holders differ from its successors"
+
+(* A vnode is flagged dirty exactly while it sits in the repair queue. *)
+let queue_law = "State: repair queue and dirty flags disagree"
 
 let () =
   Alcotest.run "recovery"
@@ -568,17 +582,16 @@ let () =
             (rewrite 0 [ ring_ids.(0); ring_ids.(1) ]);
           tripwire "duplicate holder" "State: duplicate replica holder"
             (rewrite 0 [ ring_ids.(1); ring_ids.(1) ]);
-          tripwire "holder not in the ring"
-            "State: replica holder not in the ring (stale entry)"
-            (rewrite 0 [ ring_ids.(1); f 0.9 ]);
-          tripwire "reverse index lacks a listed pair"
-            "State: holder missing from the replica reverse index"
-            (rewrite ~reindex:false 0 [ ring_ids.(1); ring_ids.(3) ]);
-          tripwire "reverse index holds an unlisted pair"
-            "State: replica reverse index has 10 pairs but holder lists have 9"
-            (rewrite ~reindex:false 0 [ ring_ids.(1) ]);
-          tripwire "entry count differs from ring size"
-            "State: replica map has 6 entries but the ring has 5" (fun s ->
-              State.For_testing.rewrite_holders s (f 0.9) []);
+          tripwire "ring vnode flagged departed"
+            "State: ring vnode flagged departed" (fun s ->
+              flag ~departed:true (vnode s 0));
+          tripwire "departed vnode not flagged"
+            "State: vnode off the ring not flagged departed" (fun s ->
+              flag (leave_last s));
+          tripwire "dirty flag without a queue entry" queue_law (fun s ->
+              flag ~dirty:true (vnode s 0));
+          tripwire "queued vnode without its dirty flag" queue_law (fun s ->
+              ignore (leave_last s);
+              flag (vnode s 0));
         ] );
     ]
