@@ -358,6 +358,20 @@ let refuse message =
   prerr_endline message;
   exit 2
 
+(* Refuse an output path before any work: it must not be a directory,
+   and its directory must take a new file, as the atomic writers put a
+   temporary file beside the target.  The probe file goes at once. *)
+let check_output flag path =
+  let dir = Filename.dirname path in
+  if Sys.file_exists path && Sys.is_directory path then
+    refuse (Printf.sprintf "invalid %s: %s: is a directory" flag path);
+  match Filename.temp_file ~temp_dir:dir "dhtlb" ".probe" with
+  | probe -> Sys.remove probe
+  | exception Sys_error _ ->
+    refuse (Printf.sprintf "invalid %s: %s: cannot create a file in %s" flag path dir)
+
+let check_outputs = List.iter (fun (flag, path) -> Option.iter (check_output flag) path)
+
 let with_journal path f =
   match path with
   | None -> f None
@@ -470,7 +484,11 @@ let sink_of_opt trace_out =
   | None -> None
   | Some spec -> (
     match Trace.sink_of_string spec with
-    | Ok s -> Some s
+    | Ok s ->
+      (match s with
+      | Trace.Csv_file path | Trace.Jsonl_file path -> check_output "--trace-out" path
+      | _ -> ());
+      Some s
     | Error e -> refuse ("invalid --trace-out: " ^ e))
 
 let simulate params strategy trials domains snapshots trace_csv trace_out
@@ -490,6 +508,7 @@ let simulate params strategy trials domains snapshots trace_csv trace_out
           "--trace-csv requires --trials 1 (--trace-out csv:FILE writes one CSV per trial)" );
       ];
   let run = single_run ~checkpoint ~checkpoint_every ~resume in
+  check_outputs [ ("--trace-csv", trace_csv); ("--out", out); ("--checkpoint", checkpoint) ];
   Format.printf "parameters: %a@." Params.pp params;
   if trials = 1 then begin
     let metrics = if metrics then Some true else None in
@@ -622,6 +641,7 @@ let stream params strategy trace_out csv json out checkpoint checkpoint_every
   validate_or_die params;
   let run = single_run ~checkpoint ~checkpoint_every ~resume in
   let sink = sink_of_opt trace_out in
+  check_outputs [ ("--csv", csv); ("--out", out); ("--checkpoint", checkpoint) ];
   Format.printf "parameters: %a@." Params.pp params;
   let r = run ?sink params strategy in
   (match r.Engine.outcome with
@@ -749,6 +769,7 @@ let artifact_cmd entries =
     let entry = match select with Ok e -> e | Error e -> refuse e in
     if csv <> None && not (Artifacts.flags entry).Artifacts.writes_csv then
       refuse (Printf.sprintf "--csv: %s %s writes no CSV" name (Artifacts.key entry));
+    check_outputs [ ("--csv", csv) ];
     let out =
       with_journal journal (fun journal ->
           Artifacts.run ?journal ?trial_timeout entry ~trials ~seed)

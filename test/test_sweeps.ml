@@ -234,6 +234,10 @@ let refusals =
   let timeout v =
     Printf.sprintf "option '--trial-timeout': expected finite seconds > 0, got %S" v
   in
+  let unwritable flag path =
+    Printf.sprintf "invalid %s: %s: cannot create a file in %s" flag path
+      (Filename.dirname path)
+  in
   [
     case "simulate --trials 0" [ "simulate"; "--trials"; "0" ] ~code:124
       ~message:(positive "--trials");
@@ -251,6 +255,25 @@ let refusals =
       [ "recovery-sweep"; "--journal"; "/nonexistent/dir/j.jsonl" ]
       ~code:2
       ~message:"invalid --journal: /nonexistent/dir/j.jsonl: No such file or directory";
+    case "unwritable --csv"
+      [ "recovery-sweep"; "--trials"; "1"; "--csv"; "/nonexistent/d.csv" ]
+      ~code:2 ~message:(unwritable "--csv" "/nonexistent/d.csv");
+    case "unwritable stream --csv" [ "stream"; "--csv"; "/nonexistent/s.csv" ]
+      ~code:2 ~message:(unwritable "--csv" "/nonexistent/s.csv");
+    case "unwritable --out"
+      [ "simulate"; "--trials"; "1"; "--out"; "/nonexistent/r.json" ]
+      ~code:2 ~message:(unwritable "--out" "/nonexistent/r.json");
+    case "directory as --out" [ "stream"; "--out"; "." ] ~code:2
+      ~message:"invalid --out: .: is a directory";
+    case "unwritable --trace-csv"
+      [ "simulate"; "--trials"; "1"; "--trace-csv"; "/nonexistent/t.csv" ]
+      ~code:2 ~message:(unwritable "--trace-csv" "/nonexistent/t.csv");
+    case "unwritable --trace-out"
+      [ "simulate"; "--trials"; "1"; "--trace-out"; "csv:/nonexistent/t.csv" ]
+      ~code:2 ~message:(unwritable "--trace-out" "/nonexistent/t.csv");
+    case "unwritable --checkpoint"
+      [ "simulate"; "--trials"; "1"; "--checkpoint"; "/nonexistent/c.ckpt" ]
+      ~code:2 ~message:(unwritable "--checkpoint" "/nonexistent/c.ckpt");
     case "DHTLB_DOMAINS=abc" ~env:"DHTLB_DOMAINS=abc " [ "head-to-head" ] ~code:2
       ~message:"DHTLB_DOMAINS must be a positive integer";
     case "DHTLB_DOMAINS=abc ablate" ~env:"DHTLB_DOMAINS=abc " [ "ablate"; "stagger" ]
