@@ -95,7 +95,8 @@ let validate t =
   else if t.sybil_threshold < 0 then Error "sybil_threshold must be >= 0"
   else if t.num_successors < 1 then Error "num_successors must be >= 1"
   else if t.decision_period < 1 then Error "decision_period must be >= 1"
-  else if t.invite_factor <= 0.0 then Error "invite_factor must be > 0"
+  else if not (Float.is_finite t.invite_factor && t.invite_factor > 0.0) then
+    Error "invite_factor must be finite and > 0"
   else if t.max_ticks_factor < 1 then Error "max_ticks_factor must be >= 1"
   else if t.replicas < 0 then Error "replicas must be >= 0"
   else if t.repair_lag < 1 then Error "repair_lag must be >= 1"
@@ -116,7 +117,8 @@ let validate t =
           if hotspots < 1 then Error "clustered keys need hotspots >= 1"
           else if not (spread > 0.0 && spread <= 1.0) then
             Error "clustered spread must be in (0, 1]"
-          else if zipf_s < 0.0 then Error "zipf_s must be >= 0"
+          else if not (Float.is_finite zipf_s && zipf_s >= 0.0) then
+            Error "zipf_s must be finite and >= 0"
           else Ok ())))
 
 let pp ppf t =

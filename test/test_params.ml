@@ -23,6 +23,8 @@ let test_validate_rejects () =
   expect_error "successors=0" { base with Params.num_successors = 0 };
   expect_error "period=0" { base with Params.decision_period = 0 };
   expect_error "invite_factor=0" { base with Params.invite_factor = 0.0 };
+  expect_error "invite_factor=nan" { base with Params.invite_factor = Float.nan };
+  expect_error "invite_factor=inf" { base with Params.invite_factor = Float.infinity };
   expect_error "cap=0" { base with Params.max_ticks_factor = 0 }
 
 let test_clustered_validation () =
@@ -35,7 +37,9 @@ let test_clustered_validation () =
   expect_error "hotspots=0" (clustered 0 0.1 1.0);
   expect_error "spread=0" (clustered 10 0.0 1.0);
   expect_error "spread>1" (clustered 10 1.5 1.0);
-  expect_error "zipf<0" (clustered 10 0.1 (-1.0))
+  expect_error "zipf<0" (clustered 10 0.1 (-1.0));
+  expect_error "zipf=nan" (clustered 10 0.1 Float.nan);
+  expect_error "zipf=inf" (clustered 10 0.1 Float.infinity)
 
 let test_ideal_task_per_tick () =
   let strengths = Array.make 100 1 in
