@@ -35,16 +35,19 @@ echo "==> seeded churn oracle sweep (10,000 cases; a failure never takes the rin
 QCHECK_SEED=899118630 DHTLB_ORACLE_CASES=10000 \
   dune exec test/test_oracle.exe -- test properties 2
 
-echo "==> seeded checked invitation oracle sweep (500 scenarios, clean-vnode law every tick)"
-# Case 6 of the properties group is the invitation strategy's engine =
-# full oracle property; 5,000 cases over ten strategies give it 500
-# scenarios, half of them with 1-3 replicas.  Under DHTLB_CHECK=1 every
-# tick also checks that each vnode outside the repair pass's dirty set
-# holds exactly its successor list, so a membership change that forgot
-# to mark a vnode fails here even before the oracle's full repair pass
-# disagrees.  Seed 2 takes 7-12 s on a 2-core host.
+echo "==> seeded checked oracle sweeps: random injection, invitation, range reassignment"
+# Cases 3, 6 and 10 of the properties group are the engine = full
+# oracle properties of random injection (the paper's headline
+# strategy), invitation and range reassignment (whose relocate_phys is
+# the one membership path invitation never drives); 5,000 cases over
+# ten strategies give each 500 scenarios, half of them with 1-3
+# replicas.  Under DHTLB_CHECK=1 every tick also checks that each vnode
+# not flagged for repair holds exactly its successor list and that the
+# departed flags match the ring, so a membership change that forgot to
+# mark or flag a vnode fails here even before the oracle's full repair
+# pass disagrees.  Seed 2 takes 30-40 s on a 2-core host.
 DHTLB_CHECK=1 QCHECK_SEED=2 DHTLB_ORACLE_CASES=5000 \
-  dune exec test/test_oracle.exe -- test properties 6
+  dune exec test/test_oracle.exe -- test properties 3,6,10
 
 echo "==> recovery smoke (--replicas 2 + crash bursts through the real CLI, invariant-checked)"
 # End-to-end through bin/dhtlb with live replication on: every tick must
