@@ -23,7 +23,7 @@ let unreplicated = { holders = []; dirty = false; departed = false }
 
 let payload (params : Params.t) owner =
   if Params.recovery_on params then
-    { owner; replica = { unreplicated with holders = [] } }
+    { owner; replica = { holders = []; dirty = false; departed = false } }
   else { owner; replica = unreplicated }
 
 (* A machine's ring presences are held as the live [Dht.vnode] records,
@@ -396,8 +396,6 @@ let charge_lookup t = add_hops t (lookup_cost t)
    deterministic (no draws); the only recovery randomness is the
    optional repl_drop bernoulli in the repair pass. *)
 
-let replicated t = Params.recovery_on t.params
-
 let replica_holders t id =
   match Dht.find t.dht id with
   | None -> []
@@ -430,7 +428,7 @@ let mark_predecessors t id =
    list.  The ring's first vnode is its own successor and has no
    donor. *)
 let repl_note_join t vn =
-  if replicated t then begin
+  if Params.recovery_on t.params then begin
     (match Dht.successor t.dht vn.Dht.id with
     | Some d when d != vn ->
       vn.Dht.payload.replica.holders <-
@@ -445,7 +443,7 @@ let repl_note_join t vn =
    a holder backs the merged range only if it already backed both parts,
    so the recipient's list intersects with the leaver's. *)
 let repl_note_leave t vn =
-  if replicated t then begin
+  if Params.recovery_on t.params then begin
     let own = vn.Dht.payload.replica in
     own.departed <- true;
     (match Dht.successor t.dht vn.Dht.id with
@@ -666,7 +664,7 @@ let crash_machines t pids =
    vnode refuses the departure (`Last_node) and keeps serving its keys,
    so there is nothing to recover. *)
 let fail_machines t pids =
-  if replicated t then crash_machines t pids
+  if Params.recovery_on t.params then crash_machines t pids
   else
     List.iter
       (fun pid ->
@@ -1121,7 +1119,7 @@ let check_tick_invariants t =
   then invalid_arg "State: arrival state moved without an arrival plan";
   (* Recovery-off laws: without live replication nothing is ever lost
      and no replication traffic flows. *)
-  if not (replicated t) then begin
+  if not (Params.recovery_on t.params) then begin
     if m.Messages.tasks_lost <> 0 then
       invalid_arg "State: tasks lost with live replication off";
     if m.Messages.replications <> 0 then
@@ -1133,7 +1131,7 @@ let check_tick_invariants t =
      clean-vnode law the repair pass rests on, over live holders: a ring
      of at most [replicas] vnodes has fewer predecessors to mark than a
      list names, so a clean list may keep naming a departed vnode. *)
-  if replicated t then begin
+  if Params.recovery_on t.params then begin
     let unflagged h =
       live h
       && match Dht.find t.dht h.Dht.id with Some v -> v != h | None -> true
@@ -1320,7 +1318,7 @@ module For_testing = struct
       ~hot_centers:[||] (Array.of_list keys)
 
   let rewrite_holders t id hs =
-    if not (replicated t) then
+    if not (Params.recovery_on t.params) then
       invalid_arg "State.For_testing.rewrite_holders: replication is off";
     let vnode id =
       match Dht.find t.dht id with

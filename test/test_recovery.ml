@@ -516,6 +516,7 @@ let tripwire name msg breach =
 let rewrite i hs s = State.For_testing.rewrite_holders s ring_ids.(i) hs
 
 let vnode s i = Option.get (Dht.find s.State.dht ring_ids.(i))
+
 let flag ?(dirty = false) ?(departed = false) vn =
   State.For_testing.flag vn ~dirty ~departed
 
