@@ -193,12 +193,13 @@ DHTLB_CHECK=1 dune exec bin/dhtlb.exe -- simulate \
   --nodes 200 --tasks 20000 --churn 0.02 --failures 0.01 \
   --strategy range-reassign --faults drop=0.05 --seed 7
 
-echo "==> range-reassign under live replication (relocations keep the replica map exact, invariant-checked)"
+echo "==> range-reassign under live replication (relocations keep the replica state exact, invariant-checked)"
 # A relocation is a graceful leave plus a join, and with --replicas on
-# each one rewrites the replica map: the leaver's recipient keeps only
-# shared holders, the newcomer borrows its donor's.  Crash bursts and
-# failures then recover from those lists, so a stale entry would lose
-# tasks or fail the holder-map laws checked every tick.
+# each one rewrites holder lists: the leaver's recipient keeps only
+# shared holders, the newcomer borrows its donor's live ones.  Crash
+# bursts and failures then recover from those lists, so a departed
+# holder left unflagged would save tasks it cannot hold, or fail the
+# holder-map laws checked every tick.
 DHTLB_CHECK=1 dune exec bin/dhtlb.exe -- simulate --trials 1 \
   --nodes 200 --tasks 20000 --churn 0.02 --failures 0.01 \
   --strategy range-reassign --replicas 2 --repair-lag 2 \
