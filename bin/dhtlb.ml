@@ -21,6 +21,12 @@ let positive_int =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+(* A converter over a [string -> (t, string) result] parser. *)
+let conv_of of_string to_string =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun e -> `Msg e) (of_string s)),
+      fun ppf t -> Format.pp_print_string ppf (to_string t) )
+
 let domains_t =
   Arg.(
     value
@@ -58,13 +64,9 @@ let failure_t =
         ~doc:"Per-node per-tick ungraceful failure rate.")
 
 let strategy_t =
-  let parse s =
-    match Strategy.of_name s with Ok t -> Ok t | Error e -> Error (`Msg e)
-  in
-  let print ppf t = Format.pp_print_string ppf (Strategy.name t) in
   Arg.(
     value
-    & opt (conv (parse, print)) Strategy.No_strategy
+    & opt (conv_of Strategy.of_name Strategy.name) Strategy.No_strategy
     & info [ "strategy" ] ~docv:"NAME"
         ~doc:
           "Balancing strategy: none, churn, random, neighbor, smart-neighbor, \
@@ -155,12 +157,9 @@ let zipf_t =
         ~doc:"Zipf exponent for hotspot popularity (with --hotspots).")
 
 let faults_t =
-  let parse s =
-    match Faults.of_string s with Ok t -> Ok t | Error e -> Error (`Msg e)
-  in
   Arg.(
     value
-    & opt (conv (parse, Faults.pp)) Faults.none
+    & opt (conv_of Faults.of_string Faults.to_string) Faults.none
     & info [ "faults" ] ~docv:"SPEC"
         ~doc:
           "Fault plan: comma-separated clauses among $(b,drop=P) \
@@ -173,12 +172,9 @@ let faults_t =
            $(b,--faults drop=0.1,crash=5\\@200,straggle=3).")
 
 let arrivals_t =
-  let parse s =
-    match Arrivals.of_string s with Ok t -> Ok t | Error e -> Error (`Msg e)
-  in
   Arg.(
     value
-    & opt (conv (parse, Arrivals.pp)) Arrivals.none
+    & opt (conv_of Arrivals.of_string Arrivals.to_string) Arrivals.none
     & info [ "arrivals" ] ~docv:"SPEC"
         ~doc:
           "Arrival plan (open system): comma-separated clauses with \
@@ -192,12 +188,9 @@ let arrivals_t =
            $(b,--arrivals poisson=8,hot=4:0.05:1.1,horizon=400).")
 
 let attack_t =
-  let parse s =
-    match Attack.of_string s with Ok t -> Ok t | Error e -> Error (`Msg e)
-  in
   Arg.(
     value
-    & opt (conv (parse, Attack.pp)) Attack.none
+    & opt (conv_of Attack.of_string Attack.to_string) Attack.none
     & info [ "attack" ] ~docv:"SPEC"
         ~doc:
           "Adversarial Sybil plan: comma-separated clauses among \

@@ -67,92 +67,26 @@ let rng ~seed =
 
 let to_string t =
   if not (enabled t) then "off"
-  else begin
-    let buf = Buffer.create 64 in
-    let add fmt =
-      Printf.ksprintf
-        (fun s ->
-          if Buffer.length buf > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf s)
-        fmt
-    in
-    add "strength=%d" t.strength;
-    add "machines=%d" t.machines;
-    if t.target <> none.target then add "target=%g" t.target;
-    if t.width <> none.width then add "width=%g" t.width;
-    (match t.window with
-    | None -> ()
-    | Some (start, stop) -> add "window=%d:%d" start stop);
-    Buffer.contents buf
-  end
+  else
+    Spec.print
+      [
+        Spec.emit true "strength=%d" t.strength;
+        Spec.emit true "machines=%d" t.machines;
+        Spec.emit (t.target <> none.target) "target=%g" t.target;
+        Spec.emit (t.width <> none.width) "width=%g" t.width;
+        Option.map (fun (start, stop) -> Printf.sprintf "window=%d:%d" start stop) t.window;
+      ]
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
-let of_string s =
-  let s = String.trim s in
-  if s = "" || String.lowercase_ascii s = "off" then Ok none
-  else begin
-    let ( let* ) r f = match r with Error _ as e -> e | Ok v -> f v in
-    let int_of name v =
-      match int_of_string_opt v with
-      | Some n -> Ok n
-      | None -> Error (Printf.sprintf "%s: expected an integer, got %S" name v)
-    in
-    let float_of name v =
-      match float_of_string_opt v with
-      | Some f -> Ok f
-      | None -> Error (Printf.sprintf "%s: expected a number, got %S" name v)
-    in
-    let valid_keys = "strength, machines, target, width, window" in
-    let parse_pair acc pair =
-      let* acc, seen = acc in
-      match String.index_opt pair '=' with
-      | None -> Error (Printf.sprintf "expected key=value, got %S" pair)
-      | Some i ->
-        let key = String.lowercase_ascii (String.sub pair 0 i) in
-        let v = String.sub pair (i + 1) (String.length pair - i - 1) in
-        let* acc =
-          if List.mem key seen then
-            Error
-              (Printf.sprintf "duplicate attack key %S (each key at most once)"
-                 key)
-          else Ok acc
-        in
-        let* acc =
-          match key with
-          | "strength" ->
-            let* n = int_of "strength" v in
-            Ok { acc with strength = n }
-          | "machines" ->
-            let* n = int_of "machines" v in
-            Ok { acc with machines = n }
-          | "target" ->
-            let* f = float_of "target" v in
-            Ok { acc with target = f }
-          | "width" ->
-            let* f = float_of "width" v in
-            Ok { acc with width = f }
-          | "window" -> (
-            match String.index_opt v ':' with
-            | None ->
-              Error (Printf.sprintf "window: expected START:STOP, got %S" v)
-            | Some i ->
-              let* start = int_of "window start" (String.sub v 0 i) in
-              let* stop =
-                int_of "window stop"
-                  (String.sub v (i + 1) (String.length v - i - 1))
-              in
-              Ok { acc with window = Some (start, stop) })
-          | _ ->
-            Error
-              (Printf.sprintf "unknown attack key %S (valid keys: %s)" key
-                 valid_keys)
-        in
-        Ok (acc, key :: seen)
-    in
-    let* plan, _ =
-      List.fold_left parse_pair (Ok (none, [])) (String.split_on_char ',' s)
-    in
-    let* () = validate plan in
-    Ok plan
-  end
+let of_string =
+  Spec.parse ~what:"attack" ~none ~check:validate
+    [
+      Spec.key "strength" Spec.int (fun t strength -> { t with strength });
+      Spec.key "machines" Spec.int (fun t machines -> { t with machines });
+      Spec.key "target" Spec.float (fun t target -> { t with target });
+      Spec.key "width" Spec.float (fun t width -> { t with width });
+      Spec.key "window"
+        (Spec.split ':' ("START", "STOP"))
+        (fun t window -> { t with window = Some window });
+    ]

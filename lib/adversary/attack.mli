@@ -70,11 +70,9 @@ val rng : seed:int -> Prng.t
     disabled plan leaves every other stream untouched. *)
 
 val of_string : string -> (t, string) result
-(** Parse a CLI attack spec: comma-separated [key=value] pairs —
-    [strength=2], [machines=5], [target=0.25], [width=0.1],
-    [window=10:40] (START:STOP).  [""] and ["off"] parse to {!none}.
-    Each key may appear at most once; a duplicate or unknown key is an
-    [Error] naming the valid keys. *)
+(** Parse a CLI attack spec by {!Spec}'s grammar.  Keys: [strength=2],
+    [machines=5], [target=0.25], [width=0.1], [window=10:40]
+    (START:STOP). *)
 
 val to_string : t -> string
 (** Canonical spec string ({!of_string} round-trips); ["off"] for

@@ -122,135 +122,67 @@ let rng ~seed =
 
 let to_string t =
   if not (enabled t) then "off"
-  else begin
-    let buf = Buffer.create 64 in
-    let add fmt =
-      Printf.ksprintf
-        (fun s ->
-          if Buffer.length buf > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf s)
-        fmt
-    in
-    (match t.profile with
-    | None -> ()
-    | Some (Poisson { rate }) -> add "poisson=%g" rate
-    | Some (Bursty { rate; burst_rate; on; off }) ->
-      add "burst=%g:%g:%d:%d" rate burst_rate on off
-    | Some (Diurnal { rate; amplitude; period }) ->
-      add "diurnal=%g:%g:%d" rate amplitude period);
-    (match t.keys with
-    | Uniform -> ()
-    | Hot { hotspots; spread; zipf_s } ->
-      add "hot=%d:%g:%g" hotspots spread zipf_s);
-    if t.horizon <> none.horizon then add "horizon=%d" t.horizon;
-    if t.window <> none.window then add "window=%d" t.window;
-    Buffer.contents buf
-  end
+  else
+    Spec.print
+      [
+        Option.map
+          (function
+            | Poisson { rate } -> Printf.sprintf "poisson=%g" rate
+            | Bursty { rate; burst_rate; on; off } ->
+              Printf.sprintf "burst=%g:%g:%d:%d" rate burst_rate on off
+            | Diurnal { rate; amplitude; period } ->
+              Printf.sprintf "diurnal=%g:%g:%d" rate amplitude period)
+          t.profile;
+        (match t.keys with
+        | Uniform -> None
+        | Hot { hotspots; spread; zipf_s } ->
+          Some (Printf.sprintf "hot=%d:%g:%g" hotspots spread zipf_s));
+        Spec.emit (t.horizon <> none.horizon) "horizon=%d" t.horizon;
+        Spec.emit (t.window <> none.window) "window=%d" t.window;
+      ]
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
-let of_string s =
-  let s = String.trim s in
-  if s = "" || String.lowercase_ascii s = "off" then Ok none
-  else begin
-    let ( let* ) r f = match r with Error _ as e -> e | Ok v -> f v in
-    let int_of name v =
-      match int_of_string_opt v with
-      | Some n -> Ok n
-      | None -> Error (Printf.sprintf "%s: expected an integer, got %S" name v)
-    in
-    let float_of name v =
-      match float_of_string_opt v with
-      | Some f -> Ok f
-      | None -> Error (Printf.sprintf "%s: expected a number, got %S" name v)
-    in
-    let fields name expect v =
-      let parts = String.split_on_char ':' v in
-      if List.length parts <> List.length expect then
-        Error
-          (Printf.sprintf "%s: expected %s, got %S" name
-             (String.concat ":" expect) v)
-      else Ok parts
-    in
-    let valid_keys = "poisson, burst, diurnal, hot, horizon, window" in
-    (* One clause per key, like fault specs: duplicates are almost
-       always a typo'd plan, so reject them. *)
-    let parse_pair acc pair =
-      let* acc, seen = acc in
-      match String.index_opt pair '=' with
-      | None -> Error (Printf.sprintf "expected key=value, got %S" pair)
-      | Some i ->
-        let key = String.lowercase_ascii (String.sub pair 0 i) in
-        let v = String.sub pair (i + 1) (String.length pair - i - 1) in
-        let* acc =
-          if List.mem key seen then
-            Error
-              (Printf.sprintf
-                 "duplicate arrival key %S (each key at most once)" key)
-          else Ok acc
-        in
-        let* acc =
-          let set_profile p =
-            match acc.profile with
-            | Some _ ->
-              Error
-                "at most one rate profile (poisson, burst or diurnal) per \
-                 plan"
-            | None -> Ok { acc with profile = Some p }
-          in
-          match key with
-          | "poisson" ->
-            let* rate = float_of "poisson" v in
-            set_profile (Poisson { rate })
-          | "burst" ->
-            let* parts = fields "burst" [ "LO"; "HI"; "ON"; "OFF" ] v in
-            (match parts with
-            | [ lo; hi; on; off ] ->
-              let* rate = float_of "burst base rate" lo in
-              let* burst_rate = float_of "burst high rate" hi in
-              let* on = int_of "burst on-phase" on in
-              let* off = int_of "burst off-phase" off in
-              set_profile (Bursty { rate; burst_rate; on; off })
-            | _ -> assert false)
-          | "diurnal" ->
-            let* parts = fields "diurnal" [ "MEAN"; "AMP"; "PERIOD" ] v in
-            (match parts with
-            | [ mean; amp; period ] ->
-              let* rate = float_of "diurnal mean rate" mean in
-              let* amplitude = float_of "diurnal amplitude" amp in
-              let* period = int_of "diurnal period" period in
-              set_profile (Diurnal { rate; amplitude; period })
-            | _ -> assert false)
-          | "hot" ->
-            let* parts = fields "hot" [ "HOTSPOTS"; "SPREAD"; "ZIPF_S" ] v in
-            (match parts with
-            | [ h; sp; z ] ->
-              let* hotspots = int_of "hot spots" h in
-              let* spread = float_of "hot spread" sp in
-              let* zipf_s = float_of "hot zipf exponent" z in
-              Ok { acc with keys = Hot { hotspots; spread; zipf_s } }
-            | _ -> assert false)
-          | "horizon" ->
-            let* n = int_of "horizon" v in
-            Ok { acc with horizon = n }
-          | "window" ->
-            let* n = int_of "window" v in
-            Ok { acc with window = n }
-          | _ ->
-            Error
-              (Printf.sprintf "unknown arrival key %S (valid keys: %s)" key
-                 valid_keys)
-        in
-        Ok (acc, key :: seen)
-    in
-    let* plan, _ =
-      List.fold_left parse_pair (Ok (none, [])) (String.split_on_char ',' s)
-    in
-    let* () =
-      if plan.profile = None then
-        Error "arrival plan needs a rate profile (poisson, burst or diurnal)"
-      else Ok ()
-    in
-    let* () = validate plan in
-    Ok plan
-  end
+let of_string =
+  let ( let* ) = Result.bind in
+  let profile p t =
+    if t.profile <> None then
+      Error "at most one rate profile (poisson, burst or diurnal) per plan"
+    else Ok { t with profile = Some p }
+  in
+  let check t =
+    if t.profile = None then
+      Error "arrival plan needs a rate profile (poisson, burst or diurnal)"
+    else validate t
+  in
+  Spec.parse ~what:"arrival" ~none ~check
+    [
+      ( "poisson",
+        fun v t ->
+          let* rate = Spec.float "poisson" v in
+          profile (Poisson { rate }) t );
+      ( "burst",
+        fun v t ->
+          let* p = Spec.fields [ "LO"; "HI"; "ON"; "OFF" ] "burst" v in
+          let* rate = Spec.float "burst base rate" p.(0) in
+          let* burst_rate = Spec.float "burst high rate" p.(1) in
+          let* on = Spec.int "burst on-phase" p.(2) in
+          let* off = Spec.int "burst off-phase" p.(3) in
+          profile (Bursty { rate; burst_rate; on; off }) t );
+      ( "diurnal",
+        fun v t ->
+          let* p = Spec.fields [ "MEAN"; "AMP"; "PERIOD" ] "diurnal" v in
+          let* rate = Spec.float "diurnal mean rate" p.(0) in
+          let* amplitude = Spec.float "diurnal amplitude" p.(1) in
+          let* period = Spec.int "diurnal period" p.(2) in
+          profile (Diurnal { rate; amplitude; period }) t );
+      ( "hot",
+        fun v t ->
+          let* p = Spec.fields [ "HOTSPOTS"; "SPREAD"; "ZIPF_S" ] "hot" v in
+          let* hotspots = Spec.int "hot spots" p.(0) in
+          let* spread = Spec.float "hot spread" p.(1) in
+          let* zipf_s = Spec.float "hot zipf exponent" p.(2) in
+          Ok { t with keys = Hot { hotspots; spread; zipf_s } } );
+      Spec.key "horizon" Spec.int (fun t horizon -> { t with horizon });
+      Spec.key "window" Spec.int (fun t window -> { t with window });
+    ]

@@ -80,14 +80,10 @@ val rng : seed:int -> Prng.t
     disabled plan leaves both other streams untouched. *)
 
 val of_string : string -> (t, string) result
-(** Parse a CLI arrival spec: comma-separated [key=value] pairs with
-    exactly one rate profile among [poisson=8.5],
-    [burst=2:40:10:50] (LO:HI:ON:OFF), [diurnal=10:6:100]
-    (MEAN:AMP:PERIOD); plus optional [hot=16:0.05:1.1]
-    (HOTSPOTS:SPREAD:ZIPF_S), [horizon=500], [window=50].
-    [""] and ["off"] parse to {!none}.  Each key may appear at most
-    once; a duplicate or unknown key is an [Error] naming the valid
-    keys. *)
+(** Parse a CLI arrival spec by {!Spec}'s grammar.  Keys: exactly one
+    rate profile among [poisson=8.5], [burst=2:40:10:50] (LO:HI:ON:OFF)
+    and [diurnal=10:6:100] (MEAN:AMP:PERIOD); [hot=16:0.05:1.1]
+    (HOTSPOTS:SPREAD:ZIPF_S), [horizon=500], [window=50]. *)
 
 val to_string : t -> string
 (** Canonical spec string ({!of_string} round-trips); ["off"] for

@@ -76,146 +76,52 @@ let rng ~seed = Prng.split (Prng.create seed)
 
 let to_string t =
   if not (enabled t) then "off"
-  else begin
-    let buf = Buffer.create 64 in
-    let add fmt =
-      Printf.ksprintf
-        (fun s ->
-          if Buffer.length buf > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf s)
-        fmt
-    in
-    if t.drop > 0.0 then add "drop=%g" t.drop;
-    (match t.crash_bursts with
-    | [] -> ()
-    | bursts ->
-      add "crash=%s"
-        (String.concat "+"
-           (List.map (fun b -> Printf.sprintf "%d@%d" b.count b.at) bursts)));
-    if t.stragglers > 0 then begin
-      add "straggle=%d" t.stragglers;
-      if t.straggle_delay <> none.straggle_delay then
-        add "straggle-delay=%d" t.straggle_delay
-    end;
-    if t.retry_budget <> none.retry_budget then
-      add "retry-budget=%d" t.retry_budget;
-    if t.backoff_base <> none.backoff_base || t.backoff_cap <> none.backoff_cap
-    then add "backoff=%d:%d" t.backoff_base t.backoff_cap;
-    (match t.partition with
-    | None -> ()
-    | Some (start, stop) -> add "partition=%d-%d" start stop);
-    if t.repl_drop > 0.0 then add "repl-drop=%g" t.repl_drop;
-    Buffer.contents buf
-  end
+  else
+    let burst b = Printf.sprintf "%d@%d" b.count b.at in
+    Spec.print
+      [
+        Spec.emit (t.drop > 0.0) "drop=%g" t.drop;
+        Spec.emit (t.crash_bursts <> []) "crash=%s"
+          (String.concat "+" (List.map burst t.crash_bursts));
+        Spec.emit (t.stragglers > 0) "straggle=%d" t.stragglers;
+        Spec.emit
+          (t.stragglers > 0 && t.straggle_delay <> none.straggle_delay)
+          "straggle-delay=%d" t.straggle_delay;
+        Spec.emit (t.retry_budget <> none.retry_budget) "retry-budget=%d"
+          t.retry_budget;
+        Spec.emit
+          (t.backoff_base <> none.backoff_base || t.backoff_cap <> none.backoff_cap)
+          "backoff=%d:%d" t.backoff_base t.backoff_cap;
+        Option.map (fun (start, stop) -> Printf.sprintf "partition=%d-%d" start stop)
+          t.partition;
+        Spec.emit (t.repl_drop > 0.0) "repl-drop=%g" t.repl_drop;
+      ]
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
-let of_string s =
-  let s = String.trim s in
-  if s = "" || String.lowercase_ascii s = "off" then Ok none
-  else begin
-    let ( let* ) r f = match r with Error _ as e -> e | Ok v -> f v in
-    let int_of name v =
-      match int_of_string_opt v with
-      | Some n -> Ok n
-      | None -> Error (Printf.sprintf "%s: expected an integer, got %S" name v)
-    in
-    let float_of name v =
-      match float_of_string_opt v with
-      | Some f -> Ok f
-      | None -> Error (Printf.sprintf "%s: expected a number, got %S" name v)
-    in
-    let parse_burst spec =
-      match String.index_opt spec '@' with
-      | None -> Error (Printf.sprintf "crash: expected COUNT@TICK, got %S" spec)
-      | Some i ->
-        let* count = int_of "crash count" (String.sub spec 0 i) in
-        let* at =
-          int_of "crash tick"
-            (String.sub spec (i + 1) (String.length spec - i - 1))
-        in
-        Ok { at; count }
-    in
-    (* One clause per key: a duplicate is almost always a typo'd plan
-       (the old last-wins rule silently ignored half of it), so reject
-       it.  [crash] is no exception — several bursts are spelled with
-       [+] inside a single clause. *)
-    let valid_keys =
-      "drop, crash, straggle, straggle-delay, retry-budget, backoff, \
-       partition, repl-drop"
-    in
-    let parse_pair acc pair =
-      let* acc, seen = acc in
-      match String.index_opt pair '=' with
-      | None -> Error (Printf.sprintf "expected key=value, got %S" pair)
-      | Some i ->
-        let key = String.lowercase_ascii (String.sub pair 0 i) in
-        let v = String.sub pair (i + 1) (String.length pair - i - 1) in
-        let* acc =
-          if List.mem key seen then
-            Error
-              (Printf.sprintf "duplicate fault key %S (each key at most once)"
-                 key)
-          else Ok acc
-        in
-        let* acc =
-          match key with
-          | "drop" ->
-          let* d = float_of "drop" v in
-          Ok { acc with drop = d }
-          | "crash" ->
-          let* bursts =
-            List.fold_left
-              (fun r spec ->
-                let* l = r in
-                let* b = parse_burst spec in
-                Ok (b :: l))
-              (Ok []) (String.split_on_char '+' v)
-          in
-          Ok { acc with crash_bursts = acc.crash_bursts @ List.rev bursts }
-          | "straggle" ->
-          let* n = int_of "straggle" v in
-          Ok { acc with stragglers = n }
-          | "straggle-delay" ->
-          let* n = int_of "straggle-delay" v in
-          Ok { acc with straggle_delay = n }
-          | "retry-budget" ->
-          let* n = int_of "retry-budget" v in
-          Ok { acc with retry_budget = n }
-          | "backoff" -> (
-          match String.index_opt v ':' with
-          | None -> Error (Printf.sprintf "backoff: expected BASE:CAP, got %S" v)
-          | Some i ->
-            let* base = int_of "backoff base" (String.sub v 0 i) in
-            let* cap =
-              int_of "backoff cap"
-                (String.sub v (i + 1) (String.length v - i - 1))
-            in
-            Ok { acc with backoff_base = base; backoff_cap = cap })
-          | "partition" -> (
-          match String.index_opt v '-' with
-          | None ->
-            Error (Printf.sprintf "partition: expected START-STOP, got %S" v)
-          | Some i ->
-            let* start = int_of "partition start" (String.sub v 0 i) in
-            let* stop =
-              int_of "partition stop"
-                (String.sub v (i + 1) (String.length v - i - 1))
-            in
-            Ok { acc with partition = Some (start, stop) })
-          | "repl-drop" ->
-            let* d = float_of "repl-drop" v in
-            Ok { acc with repl_drop = d }
-          | _ ->
-            Error
-              (Printf.sprintf "unknown fault key %S (valid keys: %s)" key
-                 valid_keys)
-        in
-        Ok (acc, key :: seen)
-    in
-    let* plan, _ =
-      List.fold_left parse_pair (Ok (none, [])) (String.split_on_char ',' s)
-    in
-    let* () = validate plan in
-    Ok plan
-  end
+(* Several crash bursts share the one [crash] clause a key allows,
+   joined by [+]. *)
+let rec bursts name = function
+  | [] -> Ok []
+  | b :: rest ->
+    Result.bind (Spec.split '@' ("COUNT", "TICK") name b) (fun (count, at) ->
+        Result.map (List.cons { at; count }) (bursts name rest))
+
+let of_string =
+  Spec.parse ~what:"fault" ~none ~check:validate
+    [
+      Spec.key "drop" Spec.float (fun t drop -> { t with drop });
+      Spec.key "crash"
+        (fun name v -> bursts name (String.split_on_char '+' v))
+        (fun t crash_bursts -> { t with crash_bursts });
+      Spec.key "straggle" Spec.int (fun t stragglers -> { t with stragglers });
+      Spec.key "straggle-delay" Spec.int (fun t straggle_delay -> { t with straggle_delay });
+      Spec.key "retry-budget" Spec.int (fun t retry_budget -> { t with retry_budget });
+      Spec.key "backoff"
+        (Spec.split ':' ("BASE", "CAP"))
+        (fun t (backoff_base, backoff_cap) -> { t with backoff_base; backoff_cap });
+      Spec.key "partition"
+        (Spec.split '-' ("START", "STOP"))
+        (fun t window -> { t with partition = Some window });
+      Spec.key "repl-drop" Spec.float (fun t repl_drop -> { t with repl_drop });
+    ]

@@ -87,14 +87,10 @@ val rng : seed:int -> Prng.t
     so fault draws never perturb the main stream (and vice versa). *)
 
 val of_string : string -> (t, string) result
-(** Parse a CLI fault spec: comma-separated [key=value] pairs.
-    Keys: [drop=0.1], [crash=5@200] (several bursts:
-    [crash=5@200+3@400]), [straggle=3], [straggle-delay=2],
-    [retry-budget=3], [backoff=1:8] (base:cap),
-    [partition=100-250] (window [[100, 250))), [repl-drop=0.2].
-    [""] and ["off"] parse to {!none}.  Each key may appear at most
-    once (several crash bursts use [+] inside one [crash] clause); a
-    duplicate or unknown key is an [Error] naming the valid keys. *)
+(** Parse a CLI fault spec by {!Spec}'s grammar.  Keys: [drop=0.1],
+    [crash=5@200] (several bursts: [crash=5@200+3@400]), [straggle=3],
+    [straggle-delay=2], [retry-budget=3], [backoff=1:8] (BASE:CAP),
+    [partition=100-250] (window [[100, 250))), [repl-drop=0.2]. *)
 
 val to_string : t -> string
 (** Canonical spec string ({!of_string} round-trips); ["off"] for
