@@ -9,7 +9,10 @@
    [=], the empty clause of a stray comma, a duplicate and an unknown
    key); uppercase keys, blank specs, [off], [OFF] and surrounding
    blanks; and every [validate] refusal a spec can reach, with the
-   arrival plan's two-profile and no-profile errors. *)
+   arrival plan's two-profile and no-profile errors.
+
+   One fuzz property, run for each plan, feeds the parsers arbitrary
+   bytes and the corpus's canonical specs with one character changed. *)
 
 let faults =
   [
@@ -225,9 +228,46 @@ let test_corpus name of_string to_string cases () =
         (Result.map to_string (of_string spec)))
     cases
 
+(* [of_string] never raises, an accepted plan passes [validate], and
+   its printed spec parses back to a plan that prints the same.  Printed
+   strings are compared, not plans: [%g] keeps six digits, so
+   [drop=0.123456789] prints as [drop=0.123457]. *)
+let fuzz name of_string to_string validate cases =
+  let canonical = List.filter_map (fun (_, r) -> Result.to_option r) cases in
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          string_size ~gen:char (int_bound 40);
+          (let* s = oneofl canonical in
+           let* i = int_bound (String.length s - 1) in
+           let* c = oneof [ char; oneofl [ ','; '='; ':'; '@'; '+'; '-'; '.'; 'e'; ' ' ] ] in
+           return (String.mapi (fun j d -> if j = i then c else d) s));
+        ])
+  in
+  Testutil.prop ~count:3000 (name ^ " specs: total, valid, print-stable")
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    (fun s ->
+      match of_string s with
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+      | Error _ -> true
+      | Ok plan -> (
+        validate plan = Ok ()
+        &&
+        let printed = to_string plan in
+        match of_string printed with
+        | Ok again -> to_string again = printed
+        | Error e -> QCheck.Test.fail_reportf "%S does not parse back: %s" printed e))
+
 let () =
   Alcotest.run "spec"
     [
+      ( "fuzz",
+        [
+          fuzz "fault" Faults.of_string Faults.to_string Faults.validate faults;
+          fuzz "arrival" Arrivals.of_string Arrivals.to_string Arrivals.validate arrivals;
+          fuzz "attack" Attack.of_string Attack.to_string Attack.validate attack;
+        ] );
       ( "corpus",
         [
           Alcotest.test_case "faults" `Quick
