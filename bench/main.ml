@@ -10,6 +10,7 @@
      DHTLB_DOMAINS=n    trials on n OCaml domains
      DHTLB_ONLY=a,b     run only the named sections (see
                         [Artifacts.sections])
+     DHTLB_TRACE_OUT=s  trace sink of every run ([Trace.sink_of_string])
    A bad value or an unknown section is refused with exit 2 and one line
    on stderr before any work. *)
 
@@ -18,8 +19,8 @@ let refuse message =
   exit 2
 
 let trials, seed =
-  match (Scale.trials (), Scale.seed (), Scale.domains ()) with
-  | trials, seed, _ -> (trials, seed)
+  match (Scale.trials (), Scale.seed (), Scale.domains (), Trace.sink_of_env ()) with
+  | trials, seed, _, _ -> (trials, seed)
   | exception Invalid_argument e -> refuse e
 
 (* One section: each entry's header, text and trailer, with a blank

@@ -351,17 +351,11 @@ let refuse message =
   prerr_endline message;
   exit 2
 
-(* Refuse an output path before any work: it must not be a directory,
-   and its directory must take a new file, as the atomic writers put a
-   temporary file beside the target.  The probe file goes at once. *)
+(* Refuse an output path before any work. *)
 let check_output flag path =
-  let dir = Filename.dirname path in
-  if Sys.file_exists path && Sys.is_directory path then
-    refuse (Printf.sprintf "invalid %s: %s: is a directory" flag path);
-  match Filename.temp_file ~temp_dir:dir "dhtlb" ".probe" with
-  | probe -> Sys.remove probe
-  | exception Sys_error _ ->
-    refuse (Printf.sprintf "invalid %s: %s: cannot create a file in %s" flag path dir)
+  Result.iter_error
+    (fun e -> refuse (Printf.sprintf "invalid %s: %s" flag e))
+    (Atomic_write.writable path)
 
 let check_outputs = List.iter (fun (flag, path) -> Option.iter (check_output flag) path)
 
@@ -472,17 +466,11 @@ let validate_or_die params =
   | Ok () -> ()
   | Error e -> refuse ("invalid parameters: " ^ e)
 
-let sink_of_opt trace_out =
-  match trace_out with
-  | None -> None
-  | Some spec -> (
-    match Trace.sink_of_string spec with
-    | Ok s ->
-      (match s with
-      | Trace.Csv_file path | Trace.Jsonl_file path -> check_output "--trace-out" path
-      | _ -> ());
-      Some s
-    | Error e -> refuse ("invalid --trace-out: " ^ e))
+let sink_of_opt =
+  Option.map (fun spec ->
+      match Trace.sink_of_string spec with
+      | Ok s -> s
+      | Error e -> refuse ("invalid --trace-out: " ^ e))
 
 let simulate params strategy trials domains snapshots trace_csv trace_out
     metrics json out checkpoint checkpoint_every resume trial_timeout =
@@ -793,4 +781,8 @@ let main_cmd =
     (simulate_cmd :: compare_cmd :: stream_cmd
     :: List.map artifact_cmd (Artifacts.commands))
 
-let () = exit (Cmd.eval main_cmd)
+(* DHTLB_TRACE_OUT is the default trace sink of every run: a bad value
+   is refused before any subcommand starts. *)
+let () =
+  (match Trace.sink_of_env () with _ -> () | exception Invalid_argument e -> refuse e);
+  exit (Cmd.eval main_cmd)

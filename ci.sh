@@ -214,14 +214,14 @@ DHTLB_ORACLE_CASES=100 dune exec test/test_oracle.exe
 
 echo "==> bench harness smoke (five paper sections at one trial; bad environment refused)"
 # bench/main.exe prints the artifact list's bench sections.  Five of its
-# eleven at one trial must exit 0 (~12 s); an unknown DHTLB_ONLY section
-# and a bad DHTLB_DOMAINS must each exit 2 with one line on stderr,
-# before any work.
+# eleven at one trial must exit 0 (~12 s); an unknown DHTLB_ONLY section,
+# a bad DHTLB_DOMAINS and a bad DHTLB_TRACE_OUT must each exit 2 with one
+# line on stderr, before any work.
 DHTLB_TRIALS=1 DHTLB_SEED=11 \
   DHTLB_ONLY=figures1-3,maintenance,failures,routing,timeline \
   dune exec bench/main.exe >/dev/null
 bench_err=$(mktemp)
-for bad in DHTLB_ONLY=bogus DHTLB_DOMAINS=abc; do
+for bad in DHTLB_ONLY=bogus DHTLB_DOMAINS=abc DHTLB_TRACE_OUT=bogus; do
   status=0
   env "$bad" ./_build/default/bench/main.exe >/dev/null 2>"$bench_err" || status=$?
   if [ "$status" -ne 2 ] || [ "$(wc -l < "$bench_err")" -ne 1 ]; then

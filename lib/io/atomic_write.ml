@@ -8,6 +8,16 @@
 
 let counter = ref 0
 
+let writable path =
+  let dir = Filename.dirname path in
+  if Sys.file_exists path && Sys.is_directory path then
+    Error (Printf.sprintf "%s: is a directory" path)
+  else
+    match Filename.temp_file ~temp_dir:dir "dhtlb" ".probe" with
+    | probe -> Ok (Sys.remove probe)
+    | exception Sys_error _ ->
+      Error (Printf.sprintf "%s: cannot create a file in %s" path dir)
+
 let temp_path path =
   incr counter;
   Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ()) !counter

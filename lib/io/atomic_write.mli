@@ -7,6 +7,12 @@
     exported CSVs, sweep journals, checkpoints) must land through this
     module. *)
 
+val writable : string -> (unit, string) result
+(** Whether [path] can take a new file before any work is done: it is
+    not a directory ([PATH: is a directory]) and its directory takes a
+    new file, probed with one removed at once
+    ([PATH: cannot create a file in DIR]). *)
+
 val write : ?fsync:bool -> string -> string -> unit
 (** [write path contents] atomically replaces [path] with [contents].
     [fsync] (default [false]) additionally forces the data to stable

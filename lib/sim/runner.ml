@@ -23,13 +23,12 @@ type aggregate = {
   steady_sojourn_p99 : float;
 }
 
-let run_one ?sink ?timeout (params : Params.t) mk_strategy i =
+let run_one ~sink ?timeout (params : Params.t) mk_strategy i =
   let params = { params with Params.seed = params.Params.seed + i } in
   (* Each trial of a multi-trial run streams to its own suffixed file
      (trace.csv -> trace.0.csv, trace.1.csv, ...), so file sinks no
      longer collide across trials — or domains. *)
-  let sink = Option.map (Trace.sink_for_trial ~trial:i) sink in
-  Engine.run ?sink ?timeout params (mk_strategy ())
+  Engine.run ~sink:(Trace.sink_for_trial sink ~trial:i) ?timeout params (mk_strategy ())
 
 (* Trial [i] of a cell runs on [seed + i], so two cells whose base seeds
    are closer than [trials] share trials — cell A's trial 3 is cell B's
@@ -46,7 +45,7 @@ let stride_seed ~base ~trials ~index = base + (index * max 1 trials)
    near-identical cost.  The watchdog changes none of this: a timeout
    only flips a trial's own outcome to [Timed_out], the trial-to-seed
    mapping and the result ordering stay fixed. *)
-let run_parallel ?sink ?timeout ~trials ~domains params mk_strategy =
+let run_parallel ~sink ?timeout ~trials ~domains params mk_strategy =
   let base = trials / domains and rem = trials mod domains in
   let chunk d =
     (* Domains [0, rem) take one extra trial each. *)
@@ -63,7 +62,7 @@ let run_parallel ?sink ?timeout ~trials ~domains params mk_strategy =
                   (* A raising trial must not leave the whole experiment
                      half-filled: capture per trial and rethrow after all
                      domains have joined. *)
-                  match run_one ?sink ?timeout params mk_strategy (lo + j) with
+                  match run_one ~sink ?timeout params mk_strategy (lo + j) with
                   | r -> Ok r
                   | exception e -> Error (e, Printexc.get_raw_backtrace ())) )))
   in
@@ -86,9 +85,13 @@ let run_all ?(trials = 10) ?(domains = 1) ?sink ?trial_timeout (params : Params.
   if trials < 1 then invalid_arg "Runner.run_all: trials < 1";
   if domains < 1 then invalid_arg "Runner.run_all: domains < 1";
   let domains = min domains trials in
+  (* DHTLB_TRACE_OUT's sink is suffixed per trial like an explicit one.
+     It is read here, before any domain starts: forcing the lazy value
+     from two domains at once would raise [Lazy.Undefined]. *)
+  let sink = match sink with Some s -> s | None -> Trace.sink_of_env () in
   if domains = 1 then
-    Array.init trials (run_one ?sink ?timeout:trial_timeout params mk_strategy)
-  else run_parallel ?sink ?timeout:trial_timeout ~trials ~domains params mk_strategy
+    Array.init trials (run_one ~sink ?timeout:trial_timeout params mk_strategy)
+  else run_parallel ~sink ?timeout:trial_timeout ~trials ~domains params mk_strategy
 
 let factors ?trials ?domains params mk_strategy =
   Array.map (fun r -> r.Engine.factor) (run_all ?trials ?domains params mk_strategy)

@@ -76,9 +76,10 @@ val run_trials :
     is still joined and the exception of the lowest-numbered failing
     trial is rethrown with its backtrace, independent of scheduling.
 
-    [sink] gives every trial its own trace sink; file sinks are suffixed
-    with the trial index ({!Trace.sink_for_trial}: [trace.csv] becomes
-    [trace.0.csv], [trace.1.csv], ...), so multi-trial — and
+    [sink] (default {!Trace.sink_of_env}) gives every trial its own
+    trace sink; file sinks are suffixed with the trial index
+    ({!Trace.sink_for_trial}: [trace.csv] becomes [trace.0.csv],
+    [trace.1.csv], ...), so multi-trial — and
     multi-domain — runs can stream traces without colliding on one
     path.  [trial_timeout] arms the per-trial wall-clock watchdog
     ({!Engine.run}'s [timeout]): a hung trial stops between ticks with

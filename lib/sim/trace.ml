@@ -47,10 +47,10 @@ let sink_of_string s =
       | _ -> Error (Printf.sprintf "ring capacity must be a positive integer: %S" s))
     | None -> (
       match prefixed "csv:" s with
-      | Some path -> Ok (Csv_file path)
+      | Some path -> Result.map (fun () -> Csv_file path) (Atomic_write.writable path)
       | None -> (
         match prefixed "jsonl:" s with
-        | Some path -> Ok (Jsonl_file path)
+        | Some path -> Result.map (fun () -> Jsonl_file path) (Atomic_write.writable path)
         | None ->
           Error
             (Printf.sprintf
@@ -59,8 +59,9 @@ let sink_of_string s =
                s))))
 
 (* DHTLB_TRACE_OUT selects the sink for every run in the process that
-   does not pass one explicitly.  Read once; a malformed value fails
-   fast rather than silently tracing to the wrong place. *)
+   does not pass one explicitly.  Read once; a malformed value or an
+   unwritable path fails fast rather than silently tracing to the wrong
+   place, and the CLI and the bench harness force it at startup. *)
 let env_sink =
   lazy
     (match Sys.getenv_opt "DHTLB_TRACE_OUT" with
@@ -68,7 +69,7 @@ let env_sink =
     | Some s -> (
       match sink_of_string s with
       | Ok sink -> sink
-      | Error msg -> invalid_arg ("DHTLB_TRACE_OUT: " ^ msg)))
+      | Error msg -> invalid_arg ("invalid DHTLB_TRACE_OUT: " ^ msg)))
 
 let sink_of_env () = Lazy.force env_sink
 

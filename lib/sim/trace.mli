@@ -30,12 +30,15 @@ type sink =
   | Null  (** aggregates only *)
 
 val sink_of_string : string -> (sink, string) result
-(** Parse [memory], [null], [ring:N], [csv:PATH] or [jsonl:PATH]. *)
+(** Parse [memory], [null], [ring:N], [csv:PATH] or [jsonl:PATH].  A
+    file sink's [PATH] must take a new file ([Atomic_write.writable]),
+    so a bad path is refused before any run opens it. *)
 
 val sink_of_env : unit -> sink
 (** The [DHTLB_TRACE_OUT] process-wide default (read once); [Memory]
-    when unset.
-    @raise Invalid_argument on a malformed value. *)
+    when unset or blank.
+    @raise Invalid_argument ([invalid DHTLB_TRACE_OUT: ...]) on a value
+    {!sink_of_string} refuses. *)
 
 type t
 

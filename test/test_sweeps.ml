@@ -274,6 +274,25 @@ let refusals =
     case "unwritable --checkpoint"
       [ "simulate"; "--trials"; "1"; "--checkpoint"; "/nonexistent/c.ckpt" ]
       ~code:2 ~message:(unwritable "--checkpoint" "/nonexistent/c.ckpt");
+    case "DHTLB_TRACE_OUT=bogus" ~env:"DHTLB_TRACE_OUT=bogus "
+      [ "simulate"; "--trials"; "1"; "--nodes"; "20"; "--tasks"; "100" ]
+      ~code:2
+      ~message:
+        "invalid DHTLB_TRACE_OUT: unknown trace sink \"bogus\" (expected memory, \
+         null, ring:N, csv:PATH or jsonl:PATH)";
+    case "DHTLB_TRACE_OUT=ring:0 sweep" ~env:"DHTLB_TRACE_OUT=ring:0 "
+      [ "recovery-sweep"; "--trials"; "1" ]
+      ~code:2
+      ~message:"invalid DHTLB_TRACE_OUT: ring capacity must be a positive integer: \"ring:0\"";
+    case "unwritable DHTLB_TRACE_OUT" ~env:"DHTLB_TRACE_OUT=csv:/nonexistent/x.csv "
+      [ "simulate"; "--trials"; "1"; "--nodes"; "20"; "--tasks"; "100" ]
+      ~code:2 ~message:(unwritable "DHTLB_TRACE_OUT" "/nonexistent/x.csv");
+    case "unwritable DHTLB_TRACE_OUT sweep" ~env:"DHTLB_TRACE_OUT=jsonl:/nonexistent/x "
+      [ "recovery-sweep"; "--trials"; "1" ]
+      ~code:2 ~message:(unwritable "DHTLB_TRACE_OUT" "/nonexistent/x");
+    case "directory as DHTLB_TRACE_OUT" ~env:"DHTLB_TRACE_OUT=csv:. "
+      [ "recovery-sweep"; "--trials"; "1" ]
+      ~code:2 ~message:"invalid DHTLB_TRACE_OUT: .: is a directory";
     case "DHTLB_DOMAINS=abc" ~env:"DHTLB_DOMAINS=abc " [ "head-to-head" ] ~code:2
       ~message:"DHTLB_DOMAINS must be a positive integer";
     case "DHTLB_DOMAINS=abc ablate" ~env:"DHTLB_DOMAINS=abc " [ "ablate"; "stagger" ]
@@ -307,6 +326,35 @@ let refusals =
          or 'failure-churn'";
   ]
 
+(* DHTLB_TRACE_OUT's file sink gives each trial its own file, as
+   --trace-out does: both write trace.0.csv ... trace.2.csv, byte for
+   byte the same, and nothing else. *)
+let test_env_trace () =
+  let dir = temp ".traces" in
+  Sys.mkdir dir 0o755;
+  let path = Filename.concat dir in
+  let run env extra =
+    let args = [ "simulate"; "--trials"; "3"; "--domains"; "2"; "--nodes"; "20"; "--tasks"; "100" ] in
+    let code =
+      Sys.command
+        (env ^ Filename.quote_command dhtlb ~stdout:Filename.null (args @ extra))
+    in
+    Alcotest.(check int) "exit code" 0 code
+  in
+  run ("DHTLB_TRACE_OUT=" ^ Filename.quote ("csv:" ^ path "env.csv") ^ " ") [];
+  run "" [ "--trace-out"; "csv:" ^ path "flag.csv" ];
+  List.iter
+    (fun i ->
+      let file stem = path (Printf.sprintf "%s.%d.csv" stem i) in
+      Alcotest.(check string)
+        (Printf.sprintf "trial %d" i)
+        (read_file (file "flag")) (read_file (file "env"));
+      Sys.remove (file "flag");
+      Sys.remove (file "env"))
+    [ 0; 1; 2 ];
+  Alcotest.(check (array string)) "no other file" [||] (Sys.readdir dir);
+  Sys.rmdir dir
+
 let () =
   match Sys.argv with
   | [| _; "regen"; dir |] ->
@@ -324,4 +372,6 @@ let () =
             Alcotest.test_case "artifact outputs" `Slow test_artifacts;
           ] );
         ("refusals", refusals);
+        ( "trace sink",
+          [ Alcotest.test_case "DHTLB_TRACE_OUT file per trial" `Quick test_env_trace ] );
       ]
