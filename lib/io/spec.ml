@@ -39,6 +39,8 @@ let parse ~what ~none ~check clauses s =
       | Some i -> (
         let key = String.lowercase_ascii (String.sub clause 0 i) in
         let v = String.sub clause (i + 1) (String.length clause - i - 1) in
+        (* A repeated key is almost always a typo'd plan, and a
+           last-wins rule would silently drop half of it. *)
         if List.mem key seen then
           Error (Printf.sprintf "duplicate %s key %S (each key at most once)" what key)
         else
