@@ -1,6 +1,7 @@
 (* Byte-exact goldens for every sweep, every paper result table and every
-   other artifact subcommand, and the CLI's refusal of bad artifact,
-   sweep and runner flags.
+   other artifact subcommand, the CLI's refusal of bad artifact, sweep
+   and runner flags and of a bad DHTLB_TRACE_OUT, and that variable's
+   one trace file per trial.
 
    The five CLI sweeps run through the real binary at one trial, seed 11,
    with --csv, --journal and (where offered) --json; stdout, the CSV file
@@ -327,8 +328,8 @@ let refusals =
   ]
 
 (* DHTLB_TRACE_OUT's file sink gives each trial its own file, as
-   --trace-out does: both write trace.0.csv ... trace.2.csv, byte for
-   byte the same, and nothing else. *)
+   --trace-out does: env.csv becomes env.0.csv ... env.2.csv, byte for
+   byte the same as flag.0.csv ... flag.2.csv, and nothing else. *)
 let test_env_trace () =
   let dir = temp ".traces" in
   Sys.mkdir dir 0o755;
