@@ -44,17 +44,20 @@ let stddev_int a =
   nonempty "Descriptive.stddev_int" a;
   stddev (Array.map float_of_int a)
 
-let percentile a p =
-  nonempty "Descriptive.percentile" a;
-  if not (p >= 0.0 && p <= 100.0) then
-    invalid_arg "Descriptive.percentile: p out of [0,100]";
-  let s = sorted_copy a in
-  let n = Array.length s in
+let order_percentile ~what n nth p =
+  if n < 1 then invalid_arg (what ^ ": empty input");
+  if not (p >= 0.0 && p <= 100.0) then invalid_arg (what ^ ": p out of [0,100]");
   let rank = p /. 100.0 *. float_of_int (n - 1) in
   let lo = int_of_float (floor rank) in
   let hi = min (lo + 1) (n - 1) in
   let frac = rank -. float_of_int lo in
-  s.(lo) +. (frac *. (s.(hi) -. s.(lo)))
+  let x = nth lo in
+  x +. (frac *. (nth hi -. x))
+
+let percentile a p =
+  nonempty "Descriptive.percentile" a;
+  order_percentile ~what:"Descriptive.percentile" (Array.length a)
+    (Array.get (sorted_copy a)) p
 
 let summarize a =
   nonempty "Descriptive.summarize" a;

@@ -31,6 +31,14 @@ val percentile : float array -> float -> float
 (** [percentile xs p] for [p] in [0, 100], linear interpolation between
     order statistics; does not mutate its input. *)
 
+val order_percentile : what:string -> int -> (int -> float) -> float -> float
+(** [order_percentile ~what n nth p]: {!percentile} of [n] samples whose
+    [k]-th smallest (0-based) is [nth k].  Every percentile in the repo
+    goes through this one interpolation, so two sample stores that read
+    the same order statistics agree bit for bit.
+    @raise Invalid_argument (naming [what]) if [n < 1] or [p] is outside
+    [0, 100]. *)
+
 val summarize : float array -> summary
 val summarize_int : int array -> summary
 

@@ -125,6 +125,129 @@ let test_steady_all_nan_survives_runner () =
   Alcotest.(check (float 1e-9)) "queue p95 is a real 0" 0.0
     a.Runner.steady_queue_p95
 
+(* ---- steady windows against the float formula --------------------- *)
+
+type tick = {
+  arrivals : int;
+  completions : int;
+  queue : int;
+  sybils : int;
+  sojourns : int list;
+}
+
+(* A window summarized the way the collector first did it: the samples
+   copied into float arrays, percentiles and the mean from
+   [Descriptive].  The collector must reproduce it bit for bit. *)
+let reference_window ~index ~start_tick ticks =
+  let n = List.length ticks in
+  let floats f = Array.of_list (List.map float_of_int (List.concat_map f ticks)) in
+  let queues = floats (fun t -> [ t.queue ]) and sojourns = floats (fun t -> t.sojourns) in
+  let pct a p = if Array.length a = 0 then Float.nan else Descriptive.percentile a p in
+  let sum f = List.fold_left (fun acc t -> acc + f t) 0 ticks in
+  let rate total = float_of_int total /. float_of_int n in
+  let sybils = List.map (fun t -> t.sybils) ticks in
+  {
+    Steady.index;
+    start_tick;
+    ticks = n;
+    arrivals = sum (fun t -> t.arrivals);
+    completions = sum (fun t -> t.completions);
+    arrival_rate = rate (sum (fun t -> t.arrivals));
+    completion_rate = rate (sum (fun t -> t.completions));
+    queue_p50 = pct queues 50.0;
+    queue_p95 = pct queues 95.0;
+    queue_p99 = pct queues 99.0;
+    sojourn_p50 = pct sojourns 50.0;
+    sojourn_p95 = pct sojourns 95.0;
+    sojourn_p99 = pct sojourns 99.0;
+    sojourn_mean =
+      (if Array.length sojourns = 0 then Float.nan else Descriptive.mean sojourns);
+    sybil_min = List.fold_left min max_int sybils;
+    sybil_max = List.fold_left max min_int sybils;
+    sybil_mean = rate (List.fold_left ( + ) 0 sybils);
+  }
+
+(* The windows of [ticks] cut every [window] ticks, a partial tail
+   included. *)
+let reference_windows ~window ticks =
+  let rec cut index start_tick ticks acc =
+    if ticks = [] then List.rev acc
+    else
+      let here = List.filteri (fun i _ -> i < window) ticks in
+      let rest = List.filteri (fun i _ -> i >= window) ticks in
+      cut (index + 1) (start_tick + window) rest
+        (reference_window ~index ~start_tick here :: acc)
+  in
+  Array.of_list (cut 0 0 ticks [])
+
+(* Every field, floats by their bits, so that NaN and -0 compare too. *)
+let window_fields (w : Steady.window) =
+  let b x = Printf.sprintf "%Lx" (Int64.bits_of_float x) in
+  [
+    ("index", string_of_int w.index);
+    ("start_tick", string_of_int w.start_tick);
+    ("ticks", string_of_int w.ticks);
+    ("arrivals", string_of_int w.arrivals);
+    ("completions", string_of_int w.completions);
+    ("arrival_rate", b w.arrival_rate);
+    ("completion_rate", b w.completion_rate);
+    ("queue_p50", b w.queue_p50);
+    ("queue_p95", b w.queue_p95);
+    ("queue_p99", b w.queue_p99);
+    ("sojourn_p50", b w.sojourn_p50);
+    ("sojourn_p95", b w.sojourn_p95);
+    ("sojourn_p99", b w.sojourn_p99);
+    ("sojourn_mean", b w.sojourn_mean);
+    ("sybil_min", string_of_int w.sybil_min);
+    ("sybil_max", string_of_int w.sybil_max);
+    ("sybil_mean", b w.sybil_mean);
+  ]
+
+(* Random ticks through [note]; after every tick, [windows] (read-only,
+   so callable mid-run) must equal the reference windows of the ticks so
+   far, field by field. *)
+let prop_steady_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      let sojourns =
+        frequency [ (1, return []); (3, list_size (int_range 1 6) (int_bound 40)) ]
+      in
+      let tick =
+        let* arrivals = int_bound 50
+        and* completions = int_bound 50
+        and* queue = int_bound 1000
+        and* sybils = int_bound 20
+        and* sojourns = sojourns in
+        return { arrivals; completions; queue; sybils; sojourns }
+      in
+      pair (int_range 1 8) (list_size (int_bound 40) tick))
+  in
+  let print (window, ticks) =
+    Printf.sprintf "window %d, %d ticks: %s" window (List.length ticks)
+      (String.concat " | "
+         (List.map
+            (fun t ->
+              Printf.sprintf "a%d c%d q%d s%d [%s]" t.arrivals t.completions t.queue
+                t.sybils
+                (String.concat ";" (List.map string_of_int t.sojourns)))
+            ticks))
+  in
+  Testutil.prop ~count:300 "windows = float formula, bit for bit"
+    (QCheck.make ~print gen) (fun (window, ticks) ->
+      let sc = Steady.create ~window in
+      List.iteri
+        (fun i t ->
+          Steady.note sc ~arrivals:t.arrivals ~completions:t.completions ~queue:t.queue
+            ~sybils:t.sybils ~sojourns:t.sojourns;
+          let want =
+            reference_windows ~window (List.filteri (fun j _ -> j <= i) ticks)
+          in
+          let got = Steady.windows sc in
+          if Array.map window_fields got <> Array.map window_fields want then
+            QCheck.Test.fail_reportf "after tick %d: windows differ" i)
+        ticks;
+      true)
+
 let test_metrics_lap_chain () =
   let m = Metrics.create ~enabled:true () in
   let t0 = Metrics.start m in
@@ -157,5 +280,6 @@ let () =
             test_steady_empty_sybil_extremes;
           Alcotest.test_case "all-NaN sojourns survive aggregation" `Quick
             test_steady_all_nan_survives_runner;
+          prop_steady_matches_reference;
         ] );
     ]

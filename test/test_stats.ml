@@ -145,6 +145,75 @@ let prop_percentile_monotone =
       let lo = float_of_int (min p1 p2) and hi = float_of_int (max p1 p2) in
       Descriptive.percentile a lo <= Descriptive.percentile a hi +. 1e-9)
 
+(* ---- Tally against Descriptive -------------------------------------- *)
+
+let test_tally_edges () =
+  let t = Tally.create () in
+  Alcotest.check_raises "negative sample" (Invalid_argument "Tally.add: negative sample")
+    (fun () -> Tally.add t (-1));
+  Alcotest.check_raises "empty mean" (Invalid_argument "Tally.mean: empty input")
+    (fun () -> ignore (Tally.mean t));
+  Alcotest.check_raises "empty percentile"
+    (Invalid_argument "Tally.percentile: empty input") (fun () ->
+      ignore (Tally.percentile t 50.0));
+  Tally.add t 3;
+  Alcotest.check_raises "p out of range"
+    (Invalid_argument "Tally.percentile: p out of [0,100]") (fun () ->
+      ignore (Tally.percentile t 101.0));
+  Tally.clear t;
+  Alcotest.(check int) "cleared" 0 (Tally.length t);
+  Alcotest.(check (list (pair int int))) "cleared counts" [] (Tally.to_list t)
+
+(* Ascending (value, count) runs of a sample list. *)
+let runs xs =
+  List.rev
+    (List.fold_left
+       (fun acc x ->
+         match acc with
+         | (v, c) :: rest when v = x -> (v, c + 1) :: rest
+         | _ -> (x, 1) :: acc)
+       [] (List.sort compare xs))
+
+(* A tally holds counts where Descriptive holds the samples, so its
+   percentiles and mean must equal Descriptive's over the same samples
+   as floats, bit for bit.  A tally reused after [clear] must not
+   remember the samples before it. *)
+let prop_tally_matches_descriptive =
+  let gen =
+    QCheck.Gen.(
+      let sample = oneof [ int_bound 20; int_bound 5000 ] in
+      let* cleared = list_size (int_bound 20) sample in
+      let* xs =
+        oneof
+          [
+            list_size (int_range 1 2) sample;
+            list_size (int_range 1 200) sample;
+            list_size (int_range 1 60) (int_bound 4);
+            (let* v = sample and* n = int_range 50 500 in
+             return (List.init n (fun _ -> v)));
+          ]
+      in
+      let* ps = list_size (int_bound 5) (float_range 0.0 100.0) in
+      return (cleared, xs, [ 0.0; 50.0; 95.0; 99.0; 100.0 ] @ ps))
+  in
+  let print (cleared, xs, ps) =
+    let ints l = String.concat ";" (List.map string_of_int l) in
+    Printf.sprintf "cleared [%s] samples [%s] p [%s]" (ints cleared) (ints xs)
+      (String.concat ";" (List.map (Printf.sprintf "%h") ps))
+  in
+  Testutil.prop ~count:500 "tally = Descriptive, bit for bit"
+    (QCheck.make ~print gen) (fun (cleared, xs, ps) ->
+      let t = Tally.create () in
+      List.iter (Tally.add t) cleared;
+      Tally.clear t;
+      List.iter (Tally.add t) xs;
+      let a = Array.of_list (List.map float_of_int xs) in
+      let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+      Tally.length t = List.length xs
+      && same (Tally.mean t) (Descriptive.mean a)
+      && List.for_all (fun p -> same (Tally.percentile t p) (Descriptive.percentile a p)) ps
+      && Tally.to_list t = runs xs)
+
 let () =
   Alcotest.run "stats"
     [
@@ -154,6 +223,11 @@ let () =
           Alcotest.test_case "stddev" `Quick test_stddev;
           Alcotest.test_case "percentile" `Quick test_percentile;
           Alcotest.test_case "summarize" `Quick test_summarize;
+        ] );
+      ( "tally",
+        [
+          Alcotest.test_case "edges" `Quick test_tally_edges;
+          prop_tally_matches_descriptive;
         ] );
       ( "inequality",
         [
