@@ -612,23 +612,19 @@ let draw_keys ~pick ~what vn k =
 
 (* Consumption takes the vnode record itself: the engine holds each
    machine's records and consumes every tick, where a lookup by id per
-   call was the single hottest operation at 100k nodes. *)
-let consume_vnode ~pick t vn n =
+   call was the single hottest operation at 100k nodes.  Without
+   [taken] no key is read out, so the closed system's consume allocates
+   nothing. *)
+let consume_vnode ?taken ~pick t vn n =
   let k = min n vn.nkeys in
   if k <= 0 then 0
   else begin
-    draw_ranks ~pick ~what:"Dht.consume_vnode_keys: pick out of range" vn k no_key_needed;
+    let what = "Dht.consume_vnode: pick out of range" in
+    (match taken with
+    | None -> draw_ranks ~pick ~what vn k no_key_needed
+    | Some f -> draw_ranks ~pick ~what vn k (fun b i -> f (key_of b i)));
     t.total_keys <- t.total_keys - k;
     k
-  end
-
-let consume_vnode_keys ~pick t vn n =
-  let k = min n vn.nkeys in
-  if k <= 0 then []
-  else begin
-    let taken = draw_keys ~pick ~what:"Dht.consume_vnode_keys: pick out of range" vn k in
-    t.total_keys <- t.total_keys - k;
-    taken
   end
 
 (* Diffusive work transfer: up to [n] randomly-picked tasks move from

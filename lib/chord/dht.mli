@@ -104,17 +104,20 @@ val insert_keys : 'a t -> Id.t array -> (int, [ `Empty_ring ]) result
 val owner_of : 'a t -> Id.t -> 'a vnode option
 (** The vnode responsible for a key. *)
 
-val consume_vnode : pick:(int -> int) -> 'a t -> 'a vnode -> int -> int
-(** [consume_vnode ~pick t vn n] completes up to [n] of vnode [vn]'s
-    tasks and returns the number actually completed.  [pick c] chooses
-    the index (in key order) of the next task to complete among the [c]
-    remaining.  The argument is required because the choice is
+val consume_vnode :
+  ?taken:(Id.t -> unit) -> pick:(int -> int) -> 'a t -> 'a vnode -> int -> int
+(** [consume_vnode ?taken ~pick t vn n] completes up to [n] of vnode
+    [vn]'s tasks and returns the number actually completed.  [pick c]
+    chooses the index (in key order) of the next task to complete among
+    the [c] remaining.  The argument is required because the choice is
     load-bearing: Sybil arc placement reasons about how keys are spread
     within arcs, so simulations must pass a uniform pick (a silent
     always-leftmost default would skew the remaining-key distribution).
     It draws [pick c], [pick (c-1)], ... and removes the key at each
     drawn rank from the shrinking store as it goes, one [Bytes.blit]
-    each — exactly a per-key nth/remove loop — and allocates nothing.
+    each — exactly a per-key nth/remove loop.  [taken] sees each key as
+    it is drawn, before its removal: the open-system engine settles each
+    task's sojourn there.  Without [taken] it allocates nothing.
 
     [vn] is a record the caller already holds ({!find} gives one by id)
     and must be a current ring member (the engine keeps each machine's
@@ -122,13 +125,6 @@ val consume_vnode : pick:(int -> int) -> 'a t -> 'a vnode -> int -> int
     emptied, so consuming it is a harmless no-op rather than
     corruption.
     @raise Invalid_argument if [pick] returns an index out of range. *)
-
-val consume_vnode_keys : pick:(int -> int) -> 'a t -> 'a vnode -> int -> Id.t list
-(** {!consume_vnode}, but returns the completed keys themselves (in
-    ascending id order) instead of just their count — the open-system
-    engine needs the identities to settle each task's sojourn ledger
-    entry.  Same draws, same removals; [consume_vnode] is this with
-    [List.length]. *)
 
 val transfer_keys :
   pick:(int -> int) -> 'a t -> src:'a vnode -> dst:'a vnode -> int -> int

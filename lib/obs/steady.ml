@@ -18,9 +18,11 @@ type window = {
   sybil_mean : float;
 }
 
-(* Per-window accumulation keeps the raw per-tick samples (bounded by
-   the window length) because percentiles need order statistics; the
-   closed windows themselves are O(1) records, so a horizon of any
+(* Per-window accumulation keeps one queue length and one Sybil count
+   per tick (bounded by the window length) and the window's sojourns as
+   a tally: counts per sojourn length, bounded by the horizon, from
+   which the percentiles read their order statistics without a sort.
+   The closed windows themselves are O(1) records, so a horizon of any
    length costs horizon/window records plus one window of samples. *)
 type t = {
   window : int;
@@ -31,7 +33,7 @@ type t = {
   mutable completions : int;
   mutable queues : int list;
   mutable sybils : int list;
-  mutable sojourns : int list;
+  sojourns : Tally.t;
   mutable closed : window list;  (* reverse order *)
 }
 
@@ -46,20 +48,24 @@ let create ~window =
     completions = 0;
     queues = [];
     sybils = [];
-    sojourns = [];
+    sojourns = Tally.create ();
     closed = [];
   }
-
-let floats_of_ints l = Array.of_list (List.rev_map float_of_int l)
-
-let percentile_or_nan a p =
-  if Array.length a = 0 then Float.nan else Descriptive.percentile a p
 
 (* Pure: summarize the current accumulators into a window record. *)
 let make_window t =
   let ticks = t.ticks in
-  let queues = floats_of_ints t.queues in
-  let sojourns = floats_of_ints t.sojourns in
+  let queues = Array.of_list t.queues in
+  Array.sort Int.compare queues;
+  let queue p =
+    Descriptive.order_percentile ~what:"Steady.queue" (Array.length queues)
+      (fun k -> float_of_int queues.(k))
+      p
+  in
+  (* A window in which nothing completed has no sojourn sample — NaN,
+     rendered as null in JSON exports, never a fake zero. *)
+  let completed = Tally.length t.sojourns > 0 in
+  let sojourn p = if completed then Tally.percentile t.sojourns p else Float.nan in
   let sybil_min, sybil_max, sybil_sum =
     List.fold_left
       (fun (lo, hi, sum) s -> (min lo s, max hi s, sum + s))
@@ -73,17 +79,13 @@ let make_window t =
     completions = t.completions;
     arrival_rate = float_of_int t.arrivals /. float_of_int ticks;
     completion_rate = float_of_int t.completions /. float_of_int ticks;
-    queue_p50 = percentile_or_nan queues 50.0;
-    queue_p95 = percentile_or_nan queues 95.0;
-    queue_p99 = percentile_or_nan queues 99.0;
-    (* A window in which nothing completed has no sojourn sample — NaN,
-       rendered as null in JSON exports, never a fake zero. *)
-    sojourn_p50 = percentile_or_nan sojourns 50.0;
-    sojourn_p95 = percentile_or_nan sojourns 95.0;
-    sojourn_p99 = percentile_or_nan sojourns 99.0;
-    sojourn_mean =
-      (if Array.length sojourns = 0 then Float.nan
-       else Descriptive.mean sojourns);
+    queue_p50 = queue 50.0;
+    queue_p95 = queue 95.0;
+    queue_p99 = queue 99.0;
+    sojourn_p50 = sojourn 50.0;
+    sojourn_p95 = sojourn 95.0;
+    sojourn_p99 = sojourn 99.0;
+    sojourn_mean = (if completed then Tally.mean t.sojourns else Float.nan);
     sybil_min = (if sybil_min = max_int then 0 else sybil_min);
     sybil_max = (if sybil_max = min_int then 0 else sybil_max);
     sybil_mean = float_of_int sybil_sum /. float_of_int ticks;
@@ -95,7 +97,7 @@ let note t ~arrivals ~completions ~queue ~sybils ~sojourns =
   t.completions <- t.completions + completions;
   t.queues <- queue :: t.queues;
   t.sybils <- sybils :: t.sybils;
-  t.sojourns <- List.rev_append sojourns t.sojourns;
+  List.iter (Tally.add t.sojourns) sojourns;
   if t.ticks >= t.window then begin
     t.closed <- make_window t :: t.closed;
     t.index <- t.index + 1;
@@ -105,7 +107,7 @@ let note t ~arrivals ~completions ~queue ~sybils ~sojourns =
     t.completions <- 0;
     t.queues <- [];
     t.sybils <- [];
-    t.sojourns <- []
+    Tally.clear t.sojourns
   end
 
 let windows t =

@@ -55,6 +55,8 @@ type phys = {
   mutable puzzle : admission option;
 }
 
+module Birth = Hashtbl.Make (Id)
+
 type t = {
   params : Params.t;
   dht : payload Dht.t;
@@ -68,8 +70,8 @@ type t = {
   initial_mean : float;
   initial_tasks : int;
   hot_centers : Id.t array;
-  birth : (Id.t, int) Hashtbl.t;
-  sojourn_hist : (int, int) Hashtbl.t;
+  birth : int Birth.t;
+  sojourn_hist : Tally.t;
   mutable tick : int;
   mutable work_done_total : int;
   mutable n_active : int;
@@ -143,8 +145,8 @@ let assemble (params : Params.t) ~dht ~phys ~rng ~frng ~arng ~krng
   in
   enrol_replicas params dht;
   let arrivals_on = Arrivals.enabled params.arrivals in
-  let birth = Hashtbl.create (if arrivals_on then 4096 else 1) in
-  if arrivals_on then Array.iter (fun k -> Hashtbl.replace birth k 0) keys;
+  let birth = Birth.create (if arrivals_on then 4096 else 1) in
+  if arrivals_on then Array.iter (fun k -> Birth.replace birth k 0) keys;
   {
     params;
     dht;
@@ -159,7 +161,7 @@ let assemble (params : Params.t) ~dht ~phys ~rng ~frng ~arng ~krng
     initial_tasks;
     hot_centers;
     birth;
-    sojourn_hist = Hashtbl.create (if arrivals_on then 256 else 1);
+    sojourn_hist = Tally.create ();
     tick = 0;
     work_done_total = 0;
     n_active =
@@ -307,17 +309,16 @@ let strengths_of_initial t =
 (* Settle a completed task's ledger entry (open system only): sojourn is
    arrival-to-completion inclusive, so a task injected and completed in
    the same tick scores 1.  The per-tick list feeds the steady-state
-   window collector; the histogram is the run-level ledger the oracle
-   must match bit-for-bit. *)
+   window collector; the tally is the run-level ledger the oracle must
+   match bit-for-bit. *)
 let note_sojourn t key =
-  match Hashtbl.find_opt t.birth key with
+  match Birth.find_opt t.birth key with
   | None -> invalid_arg "State: completed a task with no birth record"
   | Some b ->
-    Hashtbl.remove t.birth key;
+    Birth.remove t.birth key;
     let s = t.tick - b + 1 in
     t.tick_sojourns <- s :: t.tick_sojourns;
-    Hashtbl.replace t.sojourn_hist s
-      (1 + Option.value ~default:0 (Hashtbl.find_opt t.sojourn_hist s))
+    Tally.add t.sojourn_hist s
 
 let consume_tick t =
   (* Workers complete tasks in no particular key order; a uniform pick
@@ -325,25 +326,23 @@ let consume_tick t =
      matters because Sybil placement reasons about arc fractions. *)
   let dht = t.dht in
   let pick c = Prng.int_below t.rng c in
-  (* The open-system drain takes the same keys with the same draws; it
-     additionally learns their identities to settle sojourns.  The
-     closed-system path stays the count-only hot path. *)
-  let open_sys = Arrivals.enabled t.params.Params.arrivals in
-  if open_sys then t.tick_sojourns <- [];
+  (* The open-system drain takes the same keys with the same draws and
+     settles each task's sojourn as it is drawn; the tally does not care
+     in which order.  The closed-system drain reads no key out. *)
+  let taken =
+    if Arrivals.enabled t.params.Params.arrivals then begin
+      t.tick_sojourns <- [];
+      Some (note_sojourn t)
+    end
+    else None
+  in
   let rec drain vns budget acc =
     match vns with
     | [] -> acc
     | vn :: rest ->
       if budget <= 0 then acc
       else
-        let c =
-          if open_sys then begin
-            let taken = Dht.consume_vnode_keys ~pick dht vn budget in
-            List.iter (note_sojourn t) taken;
-            List.length taken
-          end
-          else Dht.consume_vnode ~pick dht vn budget
-        in
+        let c = Dht.consume_vnode ?taken ~pick dht vn budget in
         drain rest (budget - c) (acc + c)
   in
   let per_strength =
@@ -646,7 +645,7 @@ let crash_machines t pids =
         (* Lost tasks never complete: close their ledger entries so the
            birth table keeps tracking exactly the live population. *)
         if Arrivals.enabled t.params.Params.arrivals then
-          Dht.keys_iter (fun k -> Hashtbl.remove t.birth k) keys
+          Dht.keys_iter (Birth.remove t.birth) keys
       end)
     removed;
   (* Read from the ring after every removal of the event. *)
@@ -743,12 +742,12 @@ let apply_arrivals t =
            owner's own check cannot see it, and the birth table tracks
            exactly the live keys. *)
         charge_lookup t;
-        if not (Hashtbl.mem t.birth key) then
+        if not (Birth.mem t.birth key) then
           match Dht.insert_key t.dht key with
           | Ok () ->
             t.arrived_total <- t.arrived_total + 1;
             incr accepted;
-            Hashtbl.replace t.birth key t.tick
+            Birth.replace t.birth key t.tick
           | Error `Duplicate -> () (* dropped at the door; never entered *)
           | Error `Empty_ring -> assert false
       end
@@ -831,9 +830,7 @@ let load_reference t =
     float_of_int (Dht.total_keys t.dht) /. float_of_int (max 1 t.n_active)
   else t.initial_mean
 
-let sojourn_ledger t =
-  List.sort compare
-    (Hashtbl.fold (fun s c acc -> (s, c) :: acc) t.sojourn_hist [])
+let sojourn_ledger t = Tally.to_list t.sojourn_hist
 
 let advance_tick t = t.tick <- t.tick + 1
 
@@ -1088,24 +1085,24 @@ let check_tick_invariants t =
          t.arrived_total);
   (* Arrival laws.  Open system: the birth table tracks exactly the live
      key population (every stored key has one open ledger entry; entries
-     close on completion or accounted loss), and the sojourn histogram
+     close on completion or accounted loss), and the sojourn tally
      records exactly one settled sojourn per completed task.  Closed
      system: the arrival state must never move. *)
   if Arrivals.enabled t.params.Params.arrivals then begin
-    if Hashtbl.length t.birth <> remaining then
+    if Birth.length t.birth <> remaining then
       invalid_arg
         (Printf.sprintf
            "State: birth table tracks %d tasks but %d are stored"
-           (Hashtbl.length t.birth) remaining);
+           (Birth.length t.birth) remaining);
     Dht.iter
       (fun vn ->
         Dht.iter_keys
           (fun k ->
-            if not (Hashtbl.mem t.birth k) then
+            if not (Birth.mem t.birth k) then
               invalid_arg "State: stored task with no birth record")
           vn)
       t.dht;
-    let settled = Hashtbl.fold (fun _ c acc -> acc + c) t.sojourn_hist 0 in
+    let settled = Tally.length t.sojourn_hist in
     if settled <> t.work_done_total then
       invalid_arg
         (Printf.sprintf
@@ -1114,8 +1111,8 @@ let check_tick_invariants t =
   end
   else if
     t.arrived_total <> 0
-    || Hashtbl.length t.birth <> 0
-    || Hashtbl.length t.sojourn_hist <> 0
+    || Birth.length t.birth <> 0
+    || Tally.length t.sojourn_hist <> 0
   then invalid_arg "State: arrival state moved without an arrival plan";
   (* Recovery-off laws: without live replication nothing is ever lost
      and no replication traffic flows. *)

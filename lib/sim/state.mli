@@ -54,6 +54,9 @@ type phys = private {
           the defense off, cleared on leave/crash *)
 }
 
+module Birth : Hashtbl.S with type key = Id.t
+(** Tables keyed by task id, compared with [Id.equal]. *)
+
 type t = private {
   params : Params.t;
   dht : payload Dht.t;
@@ -79,13 +82,13 @@ type t = private {
   hot_centers : Id.t array;
       (** hotspot centers for [Arrivals.Hot] key placement, drawn from
           the arrival stream at setup; [[||]] otherwise *)
-  birth : (Id.t, int) Hashtbl.t;
+  birth : int Birth.t;
       (** open system only: arrival tick of every stored task (initial
           batch = 0); entries close on completion or accounted loss, so
           the table tracks exactly the live key population *)
-  sojourn_hist : (int, int) Hashtbl.t;
-      (** open system only: sojourn (ticks, inclusive) -> completions
-          with that sojourn — the run-level ledger the oracle matches *)
+  sojourn_hist : Tally.t;
+      (** open system only: the settled sojourns (ticks, inclusive),
+          counted per length — the run-level ledger the oracle matches *)
   mutable tick : int;
   mutable work_done_total : int;
   mutable n_active : int;
@@ -96,8 +99,9 @@ type t = private {
       (** tasks accepted by {!apply_arrivals} over the whole run
           (stored or counted lost; door-dropped duplicates excluded) *)
   mutable tick_sojourns : int list;
-      (** sojourns settled during the current tick's consume phase, for
-          the steady-state window collector; reset at each consume *)
+      (** sojourns settled during the current tick's consume phase, in
+          no particular order, for the steady-state window collector;
+          reset at each consume *)
   mutable repair_queue : payload Dht.vnode list;
       (** the vnodes flagged for the next {!repair_replicas} pass, each
           once; always [[]] with replication off *)
@@ -269,7 +273,7 @@ val load_reference : t -> float
     total is meaningless under continuous arrivals). *)
 
 val sojourn_ledger : t -> (int * int) list
-(** The sojourn histogram as a sorted [(sojourn, completions)] list —
+(** The sojourn tally as a sorted [(sojourn, completions)] list —
     the run-level ledger compared bit-for-bit against the oracle.
     Empty for batch runs. *)
 
@@ -361,7 +365,7 @@ val check_tick_invariants : t -> unit
       initial_tasks + arrived_total] — handovers, failure recovery and
       open-system injection never lose or duplicate a task silently;
     - {b arrival laws}: open system — the birth table tracks exactly the
-      stored keys and the sojourn histogram settles exactly one entry
+      stored keys and the sojourn tally settles exactly one entry
       per completion; closed system — the arrival state never moves;
     - {b ownership rule}: every key lies in its owner vnode's arc, and
       every ring vnode belongs to exactly one active machine (via

@@ -290,9 +290,10 @@ let test_refuses_v1 () =
   check_refused "v1" ~substring:"unsupported checkpoint version"
     (Checkpoint.load ~path small_params)
 
-(* A v3 or v4 file: the current header with its version line rolled
+(* A v3, v4 or v5 file: the current header with its version line rolled
    back.  Every other line matches, the body digest included, so only the
-   version refuses it — v3 and v4 bodies carry older replica maps. *)
+   version refuses it — v3 and v4 bodies carry older replica maps, v5
+   bodies hash-table sojourn ledgers. *)
 let test_refuses_rolled_back version () =
   with_temp_file ".ckpt" @@ fun path ->
   write_checkpoint ~path small_params;
@@ -333,7 +334,7 @@ let test_refuses_missing_file () =
    from a small canonical progress (values ignored), so a layout change
    to State, Dht, Trace or Steady fails here until the version moves,
    and the pin with it. *)
-let layout_pin = (5, "8a4c8396c32a7125759cd88813149346")
+let layout_pin = (6, "df41feadd0b7a0a91a9025b11536ee3f")
 
 module Blocks = Hashtbl.Make (struct
   type t = Obj.t
@@ -651,6 +652,7 @@ let () =
           Alcotest.test_case "v1 checkpoint" `Quick test_refuses_v1;
           Alcotest.test_case "v3 checkpoint" `Quick (test_refuses_rolled_back 3);
           Alcotest.test_case "v4 checkpoint" `Quick (test_refuses_rolled_back 4);
+          Alcotest.test_case "v5 checkpoint" `Quick (test_refuses_rolled_back 5);
           Alcotest.test_case "flipped body byte" `Quick test_refuses_flipped_body_byte;
           Alcotest.test_case "missing file" `Quick test_refuses_missing_file;
         ] );

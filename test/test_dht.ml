@@ -450,10 +450,14 @@ let prop_index_matches_ring =
                 rest := List.filteri (fun j _ -> j <> r) !rest
               done;
               let gone = List.sort Id.compare !gone in
-              (* Odd seeds take the keys, even ones only count them. *)
+              (* Odd seeds also see the keys, even ones only count them. *)
               if seed land 1 = 1 then begin
-                if not (List.equal Id.equal (Dht.consume_vnode_keys ~pick dht vn budget) gone)
-                then fail step "consumed keys"
+                let seen = ref [] in
+                let taken k = seen := k :: !seen in
+                if Dht.consume_vnode ~taken ~pick dht vn budget <> List.length gone then
+                  fail step "consumed count";
+                if not (List.equal Id.equal (List.sort Id.compare !seen) gone) then
+                  fail step "consumed keys"
               end
               else if Dht.consume_vnode ~pick dht vn budget <> List.length gone then
                 fail step "consumed count";
@@ -466,7 +470,7 @@ let prop_index_matches_ring =
 let test_consume_rejects_bad_pick () =
   let dht = mk_dht [ 100 ] [ 10; 20; 30 ] in
   Alcotest.check_raises "pick out of range"
-    (Invalid_argument "Dht.consume_vnode_keys: pick out of range") (fun () ->
+    (Invalid_argument "Dht.consume_vnode: pick out of range") (fun () ->
       let vn = Option.get (Dht.find dht (i 100)) in
       ignore (Dht.consume_vnode ~pick:(fun c -> c) dht vn 1))
 
