@@ -72,8 +72,8 @@ let to_string t =
       [
         Spec.emit true "strength=%d" t.strength;
         Spec.emit true "machines=%d" t.machines;
-        Spec.emit (t.target <> none.target) "target=%g" t.target;
-        Spec.emit (t.width <> none.width) "width=%g" t.width;
+        Spec.emit (t.target <> none.target) "target=%s" (Spec.number t.target);
+        Spec.emit (t.width <> none.width) "width=%s" (Spec.number t.width);
         Option.map (fun (start, stop) -> Printf.sprintf "window=%d:%d" start stop) t.window;
       ]
 

@@ -127,16 +127,20 @@ let to_string t =
       [
         Option.map
           (function
-            | Poisson { rate } -> Printf.sprintf "poisson=%g" rate
+            | Poisson { rate } -> Printf.sprintf "poisson=%s" (Spec.number rate)
             | Bursty { rate; burst_rate; on; off } ->
-              Printf.sprintf "burst=%g:%g:%d:%d" rate burst_rate on off
+              Printf.sprintf "burst=%s:%s:%d:%d" (Spec.number rate)
+                (Spec.number burst_rate) on off
             | Diurnal { rate; amplitude; period } ->
-              Printf.sprintf "diurnal=%g:%g:%d" rate amplitude period)
+              Printf.sprintf "diurnal=%s:%s:%d" (Spec.number rate)
+                (Spec.number amplitude) period)
           t.profile;
         (match t.keys with
         | Uniform -> None
         | Hot { hotspots; spread; zipf_s } ->
-          Some (Printf.sprintf "hot=%d:%g:%g" hotspots spread zipf_s));
+          Some
+            (Printf.sprintf "hot=%d:%s:%s" hotspots (Spec.number spread)
+               (Spec.number zipf_s)));
         Spec.emit (t.horizon <> none.horizon) "horizon=%d" t.horizon;
         Spec.emit (t.window <> none.window) "window=%d" t.window;
       ]

@@ -80,7 +80,7 @@ let to_string t =
     let burst b = Printf.sprintf "%d@%d" b.count b.at in
     Spec.print
       [
-        Spec.emit (t.drop > 0.0) "drop=%g" t.drop;
+        Spec.emit (t.drop > 0.0) "drop=%s" (Spec.number t.drop);
         Spec.emit (t.crash_bursts <> []) "crash=%s"
           (String.concat "+" (List.map burst t.crash_bursts));
         Spec.emit (t.stragglers > 0) "straggle=%d" t.stragglers;
@@ -94,7 +94,7 @@ let to_string t =
           "backoff=%d:%d" t.backoff_base t.backoff_cap;
         Option.map (fun (start, stop) -> Printf.sprintf "partition=%d-%d" start stop)
           t.partition;
-        Spec.emit (t.repl_drop > 0.0) "repl-drop=%g" t.repl_drop;
+        Spec.emit (t.repl_drop > 0.0) "repl-drop=%s" (Spec.number t.repl_drop);
       ]
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)

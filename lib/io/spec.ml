@@ -57,4 +57,13 @@ let parse ~what ~none ~check clauses s =
   else apply none [] (String.split_on_char ',' s)
 
 let emit cond fmt = Printf.ksprintf (fun s -> if cond then Some s else None) fmt
+
+let number x =
+  let reads_back s = Float.equal (float_of_string s) x in
+  let rec digits p =
+    let s = Printf.sprintf "%.*g" p x in
+    if p >= 17 || reads_back s then s else digits (p + 1)
+  in
+  let s = Printf.sprintf "%g" x in
+  if reads_back s then s else digits 7
 let print clauses = String.concat "," (List.filter_map Fun.id clauses)

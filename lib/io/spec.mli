@@ -59,3 +59,9 @@ val emit : bool -> ('a, unit, string, string option) format4 -> 'a
 
 val print : string option list -> string
 (** The emitted clauses, joined by commas. *)
+
+val number : float -> string
+(** [x] as [%g] prints it when that reads back as [x], else as the first
+    of [%.7g] ... [%.17g] that does, so a printed spec parses back to
+    the same plan: [0.123456789] stays [0.123456789], and [0.9999999]
+    does not round to [1].  NaN prints as [nan]. *)

@@ -17,7 +17,7 @@
 let faults =
   [
     ("drop=0.1", Ok "drop=0.1");
-    ("drop=0.123456789", Ok "drop=0.123457");
+    ("drop=0.123456789", Ok "drop=0.123456789");
     ("crash=5@200", Ok "crash=5@200");
     ("crash=5@200+3@400", Ok "crash=5@200+3@400");
     ("straggle=3", Ok "straggle=3");
@@ -212,6 +212,7 @@ let attack =
     ("strength=3", Error "strength and machines must be enabled together");
     ("machines=3", Error "strength and machines must be enabled together");
     ("strength=1,machines=1,target=1", Error "target must be in [0, 1)");
+    ("strength=1,machines=1,target=0.9999999", Ok "strength=1,machines=1,target=0.9999999");
     ("strength=1,machines=1,target=-0.5", Error "target must be in [0, 1)");
     ("strength=1,machines=1,target=nan", Error "target must be in [0, 1)");
     ("strength=1,machines=1,width=0", Error "width must be in (0, 1]");
@@ -229,10 +230,10 @@ let test_corpus name of_string to_string cases () =
     cases
 
 (* [of_string] never raises, an accepted plan passes [validate], and
-   its printed spec parses back to a plan that prints the same.  Printed
-   strings are compared, not plans: [%g] keeps six digits, so
-   [drop=0.123456789] prints as [drop=0.123457]. *)
-let fuzz name of_string to_string validate cases =
+   its printed spec parses back to a plan that prints the same and
+   equals the plan, up to what [inert] resets: the fields a printer
+   leaves out because they have no effect. *)
+let fuzz name of_string to_string validate ~inert cases =
   let canonical = List.filter_map (fun (_, r) -> Result.to_option r) cases in
   let gen =
     QCheck.Gen.(
@@ -256,17 +257,30 @@ let fuzz name of_string to_string validate cases =
         &&
         let printed = to_string plan in
         match of_string printed with
-        | Ok again -> to_string again = printed
+        | Ok again -> to_string again = printed && compare again (inert plan) = 0
         | Error e -> QCheck.Test.fail_reportf "%S does not parse back: %s" printed e))
+
+(* A disabled plan prints as [off] whatever its fields hold, and the
+   fault printer drops a straggle delay without stragglers. *)
+let inert_fault (p : Faults.t) =
+  if not (Faults.enabled p) then Faults.none
+  else if p.stragglers = 0 then { p with straggle_delay = Faults.none.straggle_delay }
+  else p
+
+let inert_arrival p = if Arrivals.enabled p then p else Arrivals.none
+let inert_attack p = if Attack.enabled p then p else Attack.none
 
 let () =
   Alcotest.run "spec"
     [
       ( "fuzz",
         [
-          fuzz "fault" Faults.of_string Faults.to_string Faults.validate faults;
-          fuzz "arrival" Arrivals.of_string Arrivals.to_string Arrivals.validate arrivals;
-          fuzz "attack" Attack.of_string Attack.to_string Attack.validate attack;
+          fuzz "fault" Faults.of_string Faults.to_string Faults.validate
+            ~inert:inert_fault faults;
+          fuzz "arrival" Arrivals.of_string Arrivals.to_string Arrivals.validate
+            ~inert:inert_arrival arrivals;
+          fuzz "attack" Attack.of_string Attack.to_string Attack.validate
+            ~inert:inert_attack attack;
         ] );
       ( "corpus",
         [
