@@ -212,7 +212,7 @@ echo "==> attack-off oracle smoke (adversary wired in, --attack off must stay bi
 # bit-for-bit with lib/adversary linked in.
 DHTLB_ORACLE_CASES=100 dune exec test/test_oracle.exe
 
-echo "==> bench harness smoke (five paper sections at one trial; bad environment refused)"
+echo "==> bench harness smoke (five paper sections at one trial; timeline under a null sink; bad environment refused)"
 # bench/main.exe prints the artifact list's bench sections.  Five of its
 # eleven at one trial must exit 0 (~12 s); an unknown DHTLB_ONLY section,
 # a bad DHTLB_DOMAINS and a bad DHTLB_TRACE_OUT must each exit 2 with one
@@ -220,6 +220,25 @@ echo "==> bench harness smoke (five paper sections at one trial; bad environment
 DHTLB_TRIALS=1 DHTLB_SEED=11 \
   DHTLB_ONLY=figures1-3,maintenance,failures,routing,timeline \
   dune exec bench/main.exe >/dev/null
+# The timeline section reads every trace point of its runs, so a null
+# DHTLB_TRACE_OUT must not change it: the two outputs must match apart
+# from the section's timing line.
+timeline_dir=$(mktemp -d)
+DHTLB_TRIALS=1 DHTLB_SEED=11 DHTLB_ONLY=timeline \
+  ./_build/default/bench/main.exe >"$timeline_dir/default.raw"
+DHTLB_TRACE_OUT=null DHTLB_TRIALS=1 DHTLB_SEED=11 DHTLB_ONLY=timeline \
+  ./_build/default/bench/main.exe >"$timeline_dir/null.raw"
+for run in default null; do
+  grep -v '^---- (timeline: ' "$timeline_dir/$run.raw" >"$timeline_dir/$run" || true
+done
+if ! cmp -s "$timeline_dir/default" "$timeline_dir/null"; then
+  echo "==> bench timeline under DHTLB_TRACE_OUT=null FAILED:" >&2
+  diff "$timeline_dir/default" "$timeline_dir/null" >&2 || true
+  rm -rf "$timeline_dir"
+  exit 1
+fi
+rm -rf "$timeline_dir"
+echo "    timeline unchanged under DHTLB_TRACE_OUT=null"
 bench_err=$(mktemp)
 for bad in DHTLB_ONLY=bogus DHTLB_DOMAINS=abc DHTLB_TRACE_OUT=bogus; do
   status=0

@@ -16,7 +16,9 @@ let run ?(seed = 42) ?(nodes = 1000) ?(tasks = 100_000) ?(window = 50)
         Strategy.default_params strategy
           { (Params.default ~nodes ~tasks) with Params.seed }
       in
-      let result = Engine.run params (Strategy.make strategy ()) in
+      (* The table reads every trace point, so the run keeps them all
+         whatever sink DHTLB_TRACE_OUT names. *)
+      let result = Engine.run ~sink:Trace.Memory params (Strategy.make strategy ()) in
       let points = Trace.points result.Engine.trace in
       let n = min window (Array.length points) in
       {

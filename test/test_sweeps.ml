@@ -1,7 +1,7 @@
 (* Byte-exact goldens for every sweep, every paper result table and every
    other artifact subcommand, the CLI's refusal of bad artifact, sweep
-   and runner flags and of a bad DHTLB_TRACE_OUT, and that variable's
-   one trace file per trial.
+   and runner flags and of a bad DHTLB_TRACE_OUT, that variable's one
+   trace file per trial, and timeline's output under it.
 
    The five CLI sweeps run through the real binary at one trial, seed 11,
    with --csv, --journal and (where offered) --json; stdout, the CSV file
@@ -44,11 +44,13 @@ let cli_sweeps =
     ("head-to-head", [ "--json" ]);
   ]
 
-(* The binary's stdout for [args]; a non-zero exit fails the test. *)
-let run_stdout args =
+(* The binary's stdout for [args]; a non-zero exit fails the test.
+   [env] prefixes the command ([VAR=value ]). *)
+let run_stdout ?(env = "") args =
   let out = temp ".stdout" in
   let code =
-    Sys.command (Filename.quote_command dhtlb ~stdout:out ~stderr:Filename.null args)
+    Sys.command
+      (env ^ Filename.quote_command dhtlb ~stdout:out ~stderr:Filename.null args)
   in
   if code <> 0 then Alcotest.failf "%s exited %d" (String.concat " " args) code;
   let s = read_file out in
@@ -356,6 +358,16 @@ let test_env_trace () =
   Alcotest.(check (array string)) "no other file" [||] (Sys.readdir dir);
   Sys.rmdir dir
 
+(* An artifact's numbers must not depend on a variable meant only to
+   bound trace memory: timeline reads every trace point of its runs, so
+   under a null or a five-point ring sink it still prints its golden. *)
+let test_timeline_keeps_points () =
+  List.iter
+    (fun sink ->
+      Alcotest.(check string) ("DHTLB_TRACE_OUT=" ^ sink) (golden "timeline.stdout")
+        (run_stdout ~env:("DHTLB_TRACE_OUT=" ^ sink ^ " ") [ "timeline"; "--seed"; "11" ]))
+    [ "null"; "ring:5" ]
+
 let () =
   match Sys.argv with
   | [| _; "regen"; dir |] ->
@@ -374,5 +386,9 @@ let () =
           ] );
         ("refusals", refusals);
         ( "trace sink",
-          [ Alcotest.test_case "DHTLB_TRACE_OUT file per trial" `Quick test_env_trace ] );
+          [
+            Alcotest.test_case "DHTLB_TRACE_OUT file per trial" `Quick test_env_trace;
+            Alcotest.test_case "timeline ignores DHTLB_TRACE_OUT" `Quick
+              test_timeline_keeps_points;
+          ] );
       ]
