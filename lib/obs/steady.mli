@@ -6,9 +6,10 @@
     the strategy's Sybil population oscillates as the load swings.  The
     engine feeds this collector once per tick; the collector folds the
     samples into fixed-length windows, each summarized by O(1) numbers —
-    memory stays bounded by one window of raw samples plus one small
-    record per closed window, in the spirit of the ring-buffer trace
-    sinks. *)
+    memory stays bounded by one window of per-tick samples, a {!Tally}
+    of the window's sojourns, and one small record per closed window,
+    in the spirit of the ring-buffer trace sinks.  Every percentile and
+    mean is bit-identical to {!Descriptive}'s over the same samples. *)
 
 type window = {
   index : int;  (** 0-based window number *)

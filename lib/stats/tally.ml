@@ -1,29 +1,22 @@
-(* [counts.(v)] samples equal [v]; every value at or above [top] has a
-   zero count, so scans and [clear] stop there. *)
-type t = {
-  mutable counts : int array;
-  mutable top : int;
-  mutable length : int;
-  mutable sum : int;
-}
+(* [counts.(v)] samples equal [v]; values past the array have none. *)
+type t = { mutable counts : int array; mutable length : int; mutable sum : int }
 
-let create () = { counts = [||]; top = 0; length = 0; sum = 0 }
+let create () = { counts = [||]; length = 0; sum = 0 }
 
 let add t v =
   if v < 0 then invalid_arg "Tally.add: negative sample";
-  if v >= Array.length t.counts then begin
-    let counts = Array.make (max (v + 1) (2 * Array.length t.counts)) 0 in
-    Array.blit t.counts 0 counts 0 t.top;
+  let n = Array.length t.counts in
+  if v >= n then begin
+    let counts = Array.make (max (v + 1) (2 * n)) 0 in
+    Array.blit t.counts 0 counts 0 n;
     t.counts <- counts
   end;
   t.counts.(v) <- t.counts.(v) + 1;
-  if v >= t.top then t.top <- v + 1;
   t.length <- t.length + 1;
   t.sum <- t.sum + v
 
 let clear t =
-  Array.fill t.counts 0 t.top 0;
-  t.top <- 0;
+  Array.fill t.counts 0 (Array.length t.counts) 0;
   t.length <- 0;
   t.sum <- 0
 
@@ -52,4 +45,4 @@ let to_list t =
     if v < 0 then acc
     else go (v - 1) (if t.counts.(v) > 0 then (v, t.counts.(v)) :: acc else acc)
   in
-  go (t.top - 1) []
+  go (Array.length t.counts - 1) []

@@ -334,7 +334,7 @@ let test_refuses_missing_file () =
    from a small canonical progress (values ignored), so a layout change
    to State, Dht, Trace or Steady fails here until the version moves,
    and the pin with it. *)
-let layout_pin = (6, "df41feadd0b7a0a91a9025b11536ee3f")
+let layout_pin = (6, "ec1fc31a3a3c3452fd6302d6404a21be")
 
 module Blocks = Hashtbl.Make (struct
   type t = Obj.t
