@@ -24,10 +24,10 @@
    vnode's payload, as holder records, dirty and departed flags and a
    repair queue; v6: the run's sojourn ledger and each steady window's
    sojourns became integer tallies), and the body digest refuses a torn
-   or altered body before a single byte of it is unmarshaled.  test_checkpoint pins the
-   version together with a digest of the block tags and sizes of a
-   canonical progress, so a layout change fails there until the version
-   moves.
+   or altered body before a single byte of it is unmarshaled.
+   test_checkpoint pins the version together with a digest of the block
+   tags and sizes of a canonical progress, so a layout change fails
+   there until the version moves.
 
    The body is marshaled with default flags: [Engine.progress] is plain
    data (no closures anywhere — the strategy is re-supplied at resume),

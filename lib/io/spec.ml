@@ -57,6 +57,7 @@ let parse ~what ~none ~check clauses s =
   else apply none [] (String.split_on_char ',' s)
 
 let emit cond fmt = Printf.ksprintf (fun s -> if cond then Some s else None) fmt
+let print clauses = String.concat "," (List.filter_map Fun.id clauses)
 
 let number x =
   let reads_back s = Float.equal (float_of_string s) x in
@@ -66,4 +67,3 @@ let number x =
   in
   let s = Printf.sprintf "%g" x in
   if reads_back s then s else digits 7
-let print clauses = String.concat "," (List.filter_map Fun.id clauses)
