@@ -141,6 +141,221 @@ let prop_capture_restore_replays =
          the detached copy *)
       && Prng.state_equal (Prng.capture rng) (Prng.capture detached))
 
+(* The first draws of seed 42, as the generator has always produced
+   them: every golden and pin downstream rests on these words. *)
+let test_known_answers () =
+  let first4 f = let rng = Prng.create 42 in List.init 4 (fun _ -> f rng) in
+  Alcotest.(check (list int64)) "bits64"
+    [ 1546998764402558742L; 6990951692964543102L; -5902157311460992607L;
+      -1389169964527427423L ]
+    (first4 Prng.bits64);
+  Alcotest.(check (list int)) "int_below 1000" [ 685; 775; 752; 48 ]
+    (first4 (fun rng -> Prng.int_below rng 1000));
+  Alcotest.(check (list (float 0.0))) "float_unit"
+    [ 0x1.5780b2e0c2ecp-4; 0x1.84136619b444ep-2; 0x1.5c2ea66473c93p-1;
+      0x1.d9715a8e0766cp-1 ]
+    (first4 Prng.float_unit)
+
+(* The generator as first written: xoshiro256** over four mutable int64
+   record fields, seeded by SplitMix64.  Kept as the reference that the
+   library must match draw for draw, with the argument guards left out
+   and [fill_bytes] written a byte at a time, least significant first. *)
+module Reference = struct
+  type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+
+  let splitmix_next state =
+    let open Int64 in
+    state := add !state 0x9e3779b97f4a7c15L;
+    let z = !state in
+    let z = mul (logxor z (shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
+    let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
+    logxor z (shift_right_logical z 31)
+
+  let of_seed64 seed =
+    let st = ref seed in
+    let s0 = splitmix_next st in
+    let s1 = splitmix_next st in
+    let s2 = splitmix_next st in
+    let s3 = splitmix_next st in
+    if Int64.logor (Int64.logor s0 s1) (Int64.logor s2 s3) = 0L then
+      { s0 = 1L; s1 = 2L; s2 = 3L; s3 = 4L }
+    else { s0; s1; s2; s3 }
+
+  let create seed = of_seed64 (Int64.of_int seed)
+
+  let rotl x k =
+    Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+
+  let bits64 t =
+    let open Int64 in
+    let result = mul (rotl (mul t.s1 5L) 7) 9L in
+    let tmp = shift_left t.s1 17 in
+    t.s2 <- logxor t.s2 t.s0;
+    t.s3 <- logxor t.s3 t.s1;
+    t.s1 <- logxor t.s1 t.s2;
+    t.s0 <- logxor t.s0 t.s3;
+    t.s2 <- logxor t.s2 tmp;
+    t.s3 <- rotl t.s3 45;
+    result
+
+  let split t = of_seed64 (bits64 t)
+
+  let int_below t n =
+    if n land (n - 1) = 0 then
+      Int64.to_int (Int64.shift_right_logical (bits64 t) 1) land (n - 1)
+    else begin
+      let bound = Int64.of_int n in
+      let max62 = Int64.shift_right_logical Int64.minus_one 2 in
+      let limit = Int64.sub max62 (Int64.rem max62 bound) in
+      let rec draw () =
+        let v = Int64.shift_right_logical (bits64 t) 2 in
+        if v >= limit then draw () else Int64.to_int (Int64.rem v bound)
+      in
+      draw ()
+    end
+
+  let float_unit t =
+    let v = Int64.shift_right_logical (bits64 t) 11 in
+    Int64.to_float v *. 0x1.0p-53
+
+  let bernoulli t p =
+    if p = 0.0 then false else if p = 1.0 then true else float_unit t < p
+
+  let fill_bytes t buf =
+    let n = Bytes.length buf in
+    let i = ref 0 in
+    while !i < n do
+      let v = bits64 t in
+      let take = min 8 (n - !i) in
+      for j = 0 to take - 1 do
+        Bytes.set buf (!i + j)
+          (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * j)) land 0xff))
+      done;
+      i := !i + take
+    done
+
+  type state = { c0 : int64; c1 : int64; c2 : int64; c3 : int64 }
+
+  let capture t = { c0 = t.s0; c1 = t.s1; c2 = t.s2; c3 = t.s3 }
+
+  let restore t s =
+    t.s0 <- s.c0;
+    t.s1 <- s.c1;
+    t.s2 <- s.c2;
+    t.s3 <- s.c3
+
+  let of_state s =
+    let t = { s0 = 1L; s1 = 2L; s2 = 3L; s3 = 4L } in
+    restore t s;
+    t
+
+  (* [Prng.state] is abstract, but it is the same plain record of four
+     words, so a marshal round trip carries a reference state across
+     for [Prng.state_equal] to judge. *)
+  let to_prng (s : state) : Prng.state =
+    Marshal.from_string (Marshal.to_string s []) 0
+end
+
+type op =
+  | Bits64
+  | Int_below of int
+  | Float_unit
+  | Bernoulli of float
+  | Fill_bytes of int
+  | Split
+  | Capture
+  | Restore
+  | Of_state
+
+let show_op = function
+  | Bits64 -> "bits64"
+  | Int_below n -> Printf.sprintf "int_below %d" n
+  | Float_unit -> "float_unit"
+  | Bernoulli p -> Printf.sprintf "bernoulli %h" p
+  | Fill_bytes n -> Printf.sprintf "fill_bytes %d" n
+  | Split -> "split"
+  | Capture -> "capture"
+  | Restore -> "restore"
+  | Of_state -> "of_state"
+
+(* Bounds cover the mask path (1 and every power of two up to 2^61),
+   small and large rejection bounds, and 2^61 + 1, which rejects about
+   half of its 62-bit draws. *)
+let gen_op =
+  let open QCheck.Gen in
+  frequency
+    [
+      (3, return Bits64);
+      ( 4,
+        map
+          (fun n -> Int_below n)
+          (oneof
+             [
+               oneofl [ 1; 3; 1000; (1 lsl 61) + 1; max_int ];
+               map (fun k -> 1 lsl k) (int_bound 61);
+               int_range 1 max_int;
+             ]) );
+      (2, return Float_unit);
+      ( 3,
+        map (fun p -> Bernoulli p)
+          (oneof [ oneofl [ 0.0; 1.0; 0.5; 0x1.0p-53 ]; float_bound_exclusive 1.0 ]) );
+      (2, map (fun n -> Fill_bytes n) (int_bound 40));
+      (1, return Split);
+      (1, return Capture);
+      (1, return Restore);
+      (1, return Of_state);
+    ]
+
+(* Run one sequence on the library and on the reference side by side.
+   [Split] compares the two children and carries on with the parents;
+   [Capture] saves both states, which [Restore] and [Of_state] bring
+   back. *)
+let same_as_reference (seed, ops) =
+  let lib = ref (Prng.create seed) and rf = ref (Reference.create seed) in
+  let saved = ref (Prng.capture !lib, Reference.capture !rf) in
+  let agree (l, r) = Prng.state_equal l (Reference.to_prng r) in
+  let step = function
+    | Bits64 -> Int64.equal (Prng.bits64 !lib) (Reference.bits64 !rf)
+    | Int_below n -> Prng.int_below !lib n = Reference.int_below !rf n
+    | Float_unit ->
+      Int64.equal
+        (Int64.bits_of_float (Prng.float_unit !lib))
+        (Int64.bits_of_float (Reference.float_unit !rf))
+    | Bernoulli p -> Bool.equal (Prng.bernoulli !lib p) (Reference.bernoulli !rf p)
+    | Fill_bytes n ->
+      let a = Bytes.make n '\xaa' and b = Bytes.make n '\x55' in
+      Prng.fill_bytes !lib a;
+      Reference.fill_bytes !rf b;
+      Bytes.equal a b
+    | Split ->
+      agree
+        ( Prng.capture (Prng.split !lib),
+          Reference.capture (Reference.split !rf) )
+    | Capture ->
+      saved := (Prng.capture !lib, Reference.capture !rf);
+      agree !saved
+    | Restore ->
+      Prng.restore !lib (fst !saved);
+      Reference.restore !rf (snd !saved);
+      true
+    | Of_state ->
+      lib := Prng.of_state (fst !saved);
+      rf := Reference.of_state (snd !saved);
+      true
+  in
+  List.for_all step ops && agree (Prng.capture !lib, Reference.capture !rf)
+
+let prop_matches_reference =
+  Testutil.prop ~count:500 "matches the record-based reference"
+    QCheck.(
+      make
+        ~print:(fun (seed, ops) ->
+          Printf.sprintf "seed %d: %s" seed
+            (String.concat "; " (List.map show_op ops)))
+        ~shrink:Shrink.(pair int (list ~shrink:nil))
+        Gen.(pair int (list_size (int_range 0 60) gen_op)))
+    same_as_reference
+
 let prop_int_below_in_range =
   Testutil.prop ~count:500 "int_below always in range"
     QCheck.(pair (int_range 1 1_000_000) small_int)
@@ -166,7 +381,12 @@ let () =
             test_bernoulli_rejects_out_of_range;
           Alcotest.test_case "fill_bytes" `Quick test_fill_bytes;
           Alcotest.test_case "shuffle" `Quick test_shuffle;
+          Alcotest.test_case "known answers, seed 42" `Quick test_known_answers;
         ] );
       ( "properties",
-        [ prop_int_below_in_range; prop_capture_restore_replays ] );
+        [
+          prop_int_below_in_range;
+          prop_capture_restore_replays;
+          prop_matches_reference;
+        ] );
     ]

@@ -17,7 +17,8 @@ let arb_small_id =
 
 (* One explicit seed per test executable so every qcheck failure is
    reproducible: honour QCHECK_SEED when set, otherwise self-initialise
-   and print the chosen seed before the suites run. *)
+   and print the chosen seed before the suites run, on stderr as well as
+   stdout, so a run that discards stdout still keeps it. *)
 let qcheck_seed =
   lazy
     (let seed =
@@ -30,8 +31,14 @@ let qcheck_seed =
          Random.self_init ();
          Random.int 1_000_000_000
      in
-     Printf.printf "qcheck random seed: %d (set QCHECK_SEED=%d to reproduce)\n%!"
-       seed seed;
+     let line =
+       Printf.sprintf "qcheck random seed: %d (set QCHECK_SEED=%d to reproduce)\n"
+         seed seed
+     in
+     print_string line;
+     flush stdout;
+     prerr_string line;
+     flush stderr;
      seed)
 
 let prop ?(count = 300) name law_arb law =
