@@ -66,15 +66,15 @@ let recovery_on t = t.replicas > 0
 
 (* DHTLB_CHECK=1 switches the invariant harness on for every run in the
    process without threading a flag through callers — CI uses it to run
-   the whole battery in checked mode.  Read once: the engine consults
-   this on every tick of every run. *)
+   the whole battery in checked mode.  Read once, at startup, as a plain
+   value: trials on several domains consult it, and a lazy value forced
+   from two domains at once raises [Lazy.Undefined]. *)
 let env_check =
-  lazy
-    (match Sys.getenv_opt "DHTLB_CHECK" with
-    | Some ("1" | "true" | "yes") -> true
-    | _ -> false)
+  match Sys.getenv_opt "DHTLB_CHECK" with
+  | Some ("1" | "true" | "yes") -> true
+  | _ -> false
 
-let check_requested t = t.check_every_tick || Lazy.force env_check
+let check_requested t = t.check_every_tick || env_check
 
 let ideal_runtime t ~strengths =
   let capacity =
