@@ -8,7 +8,7 @@
 
    Layout (all header lines LF-terminated, body starts right after):
 
-     DHTLB-CKPT v6
+     DHTLB-CKPT v7
      git_rev <rev>
      params_digest <40-hex sha1>
      tick <n>
@@ -23,8 +23,9 @@
    to a dirty set of vnode ids; v5: the replica map moved onto each
    vnode's payload, as holder records, dirty and departed flags and a
    repair queue; v6: the run's sojourn ledger and each steady window's
-   sojourns became integer tallies), and the body digest refuses a torn
-   or altered body before a single byte of it is unmarshaled.
+   sojourns became integer tallies; v7: xoshiro state as one buffer),
+   and the body digest refuses a torn or altered body before a single
+   byte of it is unmarshaled.
    test_checkpoint pins the version together with a digest of the block
    tags and sizes of a canonical progress, so a layout change fails
    there until the version moves.
@@ -37,7 +38,7 @@
    [State.check_invariants] tests by physical equality). *)
 
 let magic = "DHTLB-CKPT"
-let format_version = 6
+let format_version = 7
 
 let current_git_rev () =
   match Sys.getenv_opt "DHTLB_GIT_REV" with

@@ -1,4 +1,9 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* xoshiro256**'s four state words live little-endian at offsets 0, 8,
+   16 and 24 of one 32-byte buffer.  [Bytes.get_int64_le] and
+   [set_int64_le] read and write them unboxed, so a draw allocates
+   nothing: mutable [int64] record fields would box four fresh words on
+   every step. *)
+type t = Bytes.t
 
 (* SplitMix64: used only for seeding and stream splitting. *)
 let splitmix_next state =
@@ -8,6 +13,17 @@ let splitmix_next state =
   let z = mul (logxor z (shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
   logxor z (shift_right_logical z 31)
+
+let[@inline] set_words t s0 s1 s2 s3 =
+  Bytes.set_int64_le t 0 s0;
+  Bytes.set_int64_le t 8 s1;
+  Bytes.set_int64_le t 16 s2;
+  Bytes.set_int64_le t 24 s3
+
+let of_words s0 s1 s2 s3 =
+  let t = Bytes.create 32 in
+  set_words t s0 s1 s2 s3;
+  t
 
 let of_seed64 seed =
   let st = ref seed in
@@ -19,95 +35,99 @@ let of_seed64 seed =
      for at most one of the four draws, so this is already impossible, but
      guard anyway. *)
   if Int64.logor (Int64.logor s0 s1) (Int64.logor s2 s3) = 0L then
-    { s0 = 1L; s1 = 2L; s2 = 3L; s3 = 4L }
-  else { s0; s1; s2; s3 }
+    of_words 1L 2L 3L 4L
+  else of_words s0 s1 s2 s3
 
 let create seed = of_seed64 (Int64.of_int seed)
 
-let rotl x k =
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-(* xoshiro256** *)
-let bits64 t =
+(* One xoshiro256** step.  Inlined into every draw below, so its words
+   and its result stay unboxed up to the draw's own return value. *)
+let[@inline] step t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = Bytes.get_int64_le t 0
+  and s1 = Bytes.get_int64_le t 8
+  and s2 = Bytes.get_int64_le t 16
+  and s3 = Bytes.get_int64_le t 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  set_words t
+    (logxor s0 s3)
+    (logxor s1 s2)
+    (logxor s2 (shift_left s1 17))
+    (rotl s3 45);
   result
 
-let split t = of_seed64 (bits64 t)
+let bits64 t = step t
+
+let split t = of_seed64 (step t)
+
+(* Rejection sampling over 62 bits to avoid modulo bias.  [max_int] is
+   2^62 - 1, so the draw, the limit and the remainder all fit in a
+   native int. *)
+let rec below_limit t n limit =
+  let v = Int64.to_int (Int64.shift_right_logical (step t) 2) in
+  if v >= limit then below_limit t n limit else v mod n
 
 let int_below t n =
   if n <= 0 then invalid_arg "Prng.int_below: bound must be positive";
   if n land (n - 1) = 0 then
     (* Power of two: mask the top bits. *)
-    Int64.to_int (Int64.shift_right_logical (bits64 t) 1) land (n - 1)
-  else begin
-    (* Rejection sampling over 62 bits to avoid modulo bias. *)
-    let bound = Int64.of_int n in
-    let max62 = Int64.shift_right_logical Int64.minus_one 2 in
-    let limit = Int64.sub max62 (Int64.rem max62 bound) in
-    let rec draw () =
-      let v = Int64.shift_right_logical (bits64 t) 2 in
-      if v >= limit then draw () else Int64.to_int (Int64.rem v bound)
-    in
-    draw ()
-  end
+    Int64.to_int (Int64.shift_right_logical (step t) 1) land (n - 1)
+  else below_limit t n (max_int - (max_int mod n))
 
 let int_in t ~lo ~hi =
   if hi < lo then invalid_arg "Prng.int_in: empty range";
   lo + int_below t (hi - lo + 1)
 
-let float_unit t =
-  let v = Int64.shift_right_logical (bits64 t) 11 in
-  Int64.to_float v *. 0x1.0p-53
+let[@inline] unit_of_step t =
+  Int64.to_float (Int64.shift_right_logical (step t) 11) *. 0x1.0p-53
+
+let float_unit t = unit_of_step t
 
 let bernoulli t p =
   if not (p >= 0.0 && p <= 1.0) then
     invalid_arg "Prng.bernoulli: probability outside [0, 1]";
-  if p = 0.0 then false else if p = 1.0 then true else float_unit t < p
+  if p = 0.0 then false else if p = 1.0 then true else unit_of_step t < p
 
+(* Each draw fills the next 8 bytes least significant first; a short
+   tail takes the low bytes of one more draw. *)
 let fill_bytes t buf =
   let n = Bytes.length buf in
+  let full = n land lnot 7 in
   let i = ref 0 in
-  while !i < n do
-    (* Split the draw into untagged ints up front — an [Int64.to_int]
-       pair instead of a boxed shift per byte; the byte layout (least
-       significant byte first) is unchanged. *)
-    let v = bits64 t in
-    let lo = Int64.to_int v (* bits 0-62 *)
-    and hi = Int64.to_int (Int64.shift_right_logical v 56) (* bits 56-63 *) in
-    let take = min 8 (n - !i) in
-    for j = 0 to take - 1 do
-      let byte = if j = 7 then hi land 0xff else (lo lsr (j * 8)) land 0xff in
-      Bytes.unsafe_set buf (!i + j) (Char.unsafe_chr byte)
-    done;
-    i := !i + take
-  done
+  while !i < full do
+    Bytes.set_int64_le buf !i (step t);
+    i := !i + 8
+  done;
+  if full < n then begin
+    let v = Int64.to_int (step t) in
+    (* bits 0-62; a tail is at most 7 bytes, bits 0-55 *)
+    for j = 0 to n - full - 1 do
+      Bytes.unsafe_set buf (full + j) (Char.unsafe_chr ((v lsr (j * 8)) land 0xff))
+    done
+  end
 
 type state = { c0 : int64; c1 : int64; c2 : int64; c3 : int64 }
 
-let capture t = { c0 = t.s0; c1 = t.s1; c2 = t.s2; c3 = t.s3 }
+let capture t =
+  {
+    c0 = Bytes.get_int64_le t 0;
+    c1 = Bytes.get_int64_le t 8;
+    c2 = Bytes.get_int64_le t 16;
+    c3 = Bytes.get_int64_le t 24;
+  }
 
-let restore t s =
-  t.s0 <- s.c0;
-  t.s1 <- s.c1;
-  t.s2 <- s.c2;
-  t.s3 <- s.c3
+let restore t s = set_words t s.c0 s.c1 s.c2 s.c3
 
 let state_equal a b =
   Int64.equal a.c0 b.c0 && Int64.equal a.c1 b.c1 && Int64.equal a.c2 b.c2
   && Int64.equal a.c3 b.c3
 
-let of_state s =
-  let t = { s0 = 1L; s1 = 2L; s2 = 3L; s3 = 4L } in
-  restore t s;
-  t
+let of_state s = of_words s.c0 s.c1 s.c2 s.c3
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

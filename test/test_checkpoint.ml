@@ -290,10 +290,11 @@ let test_refuses_v1 () =
   check_refused "v1" ~substring:"unsupported checkpoint version"
     (Checkpoint.load ~path small_params)
 
-(* A v3, v4 or v5 file: the current header with its version line rolled
+(* A v3 to v6 file: the current header with its version line rolled
    back.  Every other line matches, the body digest included, so only the
    version refuses it — v3 and v4 bodies carry older replica maps, v5
-   bodies hash-table sojourn ledgers. *)
+   bodies hash-table sojourn ledgers, v6 bodies generators of four boxed
+   words. *)
 let test_refuses_rolled_back version () =
   with_temp_file ".ckpt" @@ fun path ->
   write_checkpoint ~path small_params;
@@ -334,7 +335,7 @@ let test_refuses_missing_file () =
    from a small canonical progress (values ignored), so a layout change
    to State, Dht, Trace or Steady fails here until the version moves,
    and the pin with it. *)
-let layout_pin = (6, "ec1fc31a3a3c3452fd6302d6404a21be")
+let layout_pin = (7, "8ba5c7e1307809a27c0d18af143393c6")
 
 module Blocks = Hashtbl.Make (struct
   type t = Obj.t
@@ -653,6 +654,7 @@ let () =
           Alcotest.test_case "v3 checkpoint" `Quick (test_refuses_rolled_back 3);
           Alcotest.test_case "v4 checkpoint" `Quick (test_refuses_rolled_back 4);
           Alcotest.test_case "v5 checkpoint" `Quick (test_refuses_rolled_back 5);
+          Alcotest.test_case "v6 checkpoint" `Quick (test_refuses_rolled_back 6);
           Alcotest.test_case "flipped body byte" `Quick test_refuses_flipped_body_byte;
           Alcotest.test_case "missing file" `Quick test_refuses_missing_file;
         ] );

@@ -156,6 +156,23 @@ let test_known_answers () =
       0x1.d9715a8e0766cp-1 ]
     (first4 Prng.float_unit)
 
+(* The generator's words live unboxed in one buffer, so a draw that
+   returns an immediate allocates nothing: 40,000 of them may cost only
+   the bracket's own few words, where boxed state words cost 23-42 per
+   draw. *)
+let test_draws_allocate_nothing () =
+  let rng = Prng.create 29 and buf = Bytes.create 16 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Prng.int_below rng 1024);
+    ignore (Prng.int_below rng 1000);
+    ignore (Prng.bernoulli rng 0.02);
+    Prng.fill_bytes rng buf
+  done;
+  let words = Gc.minor_words () -. before in
+  if words >= 64.0 then
+    Alcotest.failf "40,000 draws allocated %.0f minor words" words
+
 (* The generator as first written: xoshiro256** over four mutable int64
    record fields, seeded by SplitMix64.  Kept as the reference that the
    library must match draw for draw, with the argument guards left out
@@ -382,6 +399,8 @@ let () =
           Alcotest.test_case "fill_bytes" `Quick test_fill_bytes;
           Alcotest.test_case "shuffle" `Quick test_shuffle;
           Alcotest.test_case "known answers, seed 42" `Quick test_known_answers;
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_draws_allocate_nothing;
         ] );
       ( "properties",
         [
