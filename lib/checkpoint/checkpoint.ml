@@ -23,9 +23,10 @@
    to a dirty set of vnode ids; v5: the replica map moved onto each
    vnode's payload, as holder records, dirty and departed flags and a
    repair queue; v6: the run's sojourn ledger and each steady window's
-   sojourns became integer tallies; v7: xoshiro state as one buffer),
-   and the body digest refuses a torn or altered body before a single
-   byte of it is unmarshaled.
+   sojourns became integer tallies; v7: xoshiro state as one buffer,
+   and hot arrival keys keep their Zipf table), and the body digest
+   refuses a torn or altered body before a single byte of it is
+   unmarshaled.
    test_checkpoint pins the version together with a digest of the block
    tags and sizes of a canonical progress, so a layout change fails
    there until the version moves.

@@ -872,6 +872,24 @@ let arc_recently_failed o pid arc =
 
 (* ---- construction (mirroring State.create) ----------------------- *)
 
+(* Naive Zipf draw, the reference for Keygen's prefix table: sum the n
+   truncated harmonic weights, then scan them again, in rank order, for
+   the first rank below n whose running sum reaches one [float_unit]
+   draw times the sum. *)
+let zipf_scan rng ~n ~s =
+  let norm = ref 0.0 in
+  for k = 1 to n do
+    norm := !norm +. (1.0 /. Float.pow (float_of_int k) s)
+  done;
+  let target = Prng.float_unit rng *. !norm in
+  let rec scan k acc =
+    if k >= n then n
+    else
+      let acc = acc +. (1.0 /. Float.pow (float_of_int k) s) in
+      if acc >= target then k else scan (k + 1) acc
+  in
+  scan 1 0.0
+
 let create (params : Params.t) =
   (match Params.validate params with
   | Ok () -> ()
@@ -1004,7 +1022,7 @@ let create (params : Params.t) =
     | Params.Clustered { hotspots; spread; zipf_s } ->
       let centers = Keygen.node_ids rng hotspots in
       Array.init params.Params.tasks (fun _ ->
-          let j = Keygen.zipf rng ~n:hotspots ~s:zipf_s - 1 in
+          let j = zipf_scan rng ~n:hotspots ~s:zipf_s - 1 in
           let offset = Id.of_fraction (Prng.float_unit rng *. spread) in
           Id.add centers.(j) offset)
   in
@@ -1085,7 +1103,7 @@ let apply_arrivals o =
         match plan.Arrivals.keys with
         | Arrivals.Uniform -> Keygen.fresh o.arng
         | Arrivals.Hot { hotspots; spread; zipf_s } ->
-          let j = Keygen.zipf o.arng ~n:hotspots ~s:zipf_s - 1 in
+          let j = zipf_scan o.arng ~n:hotspots ~s:zipf_s - 1 in
           let offset = Id.of_fraction (Prng.float_unit o.arng *. spread) in
           Id.add o.hot_centers.(j) offset
       in

@@ -89,3 +89,9 @@ val run : Params.t -> Strategy.t -> result
     (or to neither side), exactly as the runner does.
     @raise Invalid_argument on invalid params or an internal invariant
     violation — the latter is always a bug worth a report. *)
+
+val zipf_scan : Prng.t -> n:int -> s:float -> int
+(** The oracle's own Zipf draw over ranks [1..n]: one
+    {!Prng.float_unit} draw, then a linear scan of the truncated
+    harmonic weights, O([n]) per draw.  Exported as the reference that
+    [Keygen.zipf]'s table must match rank for rank and draw for draw. *)

@@ -70,6 +70,7 @@ type t = {
   initial_mean : float;
   initial_tasks : int;
   hot_centers : Id.t array;
+  hot_zipf : Keygen.zipf option;
   birth : int Birth.t;
   sojourn_hist : Tally.t;
   mutable tick : int;
@@ -137,7 +138,7 @@ let enrol_replicas (params : Params.t) dht =
    enrolling the array records exactly the stored population without
    reading a key back out of the ring. *)
 let assemble (params : Params.t) ~dht ~phys ~rng ~frng ~arng ~krng
-    ~partitioned ~attackers ~hot_centers keys =
+    ~partitioned ~attackers ~hot_centers ~hot_zipf keys =
   let initial_tasks =
     match Dht.insert_keys dht keys with
     | Ok n -> n (* duplicate keys (negligible probability) drop silently *)
@@ -160,6 +161,7 @@ let assemble (params : Params.t) ~dht ~phys ~rng ~frng ~arng ~krng
     initial_mean = float_of_int params.tasks /. float_of_int params.nodes;
     initial_tasks;
     hot_centers;
+    hot_zipf;
     birth;
     sojourn_hist = Tally.create ();
     tick = 0;
@@ -244,8 +246,9 @@ let create (params : Params.t) =
     | Params.Uniform_sha1 -> Keygen.task_keys rng params.tasks
     | Params.Clustered { hotspots; spread; zipf_s } ->
       let centers = Keygen.node_ids rng hotspots in
+      let ranks = Keygen.zipf_table ~n:hotspots ~s:zipf_s in
       Array.init params.tasks (fun _ ->
-          let j = Keygen.zipf rng ~n:hotspots ~s:zipf_s - 1 in
+          let j = Keygen.zipf rng ranks - 1 in
           let offset = Id.of_fraction (Prng.float_unit rng *. spread) in
           Id.add centers.(j) offset)
   in
@@ -256,14 +259,16 @@ let create (params : Params.t) =
      to an engine without lib/arrivals at all (mirrored in lib/oracle —
      the arrival draw-order contract in docs/TESTING.md). *)
   let arng = Arrivals.rng ~seed:params.seed in
-  let hot_centers =
+  let hot_centers, hot_zipf =
     match params.arrivals.Arrivals.keys with
-    | Arrivals.Hot { hotspots; _ } when Arrivals.enabled params.arrivals ->
-      Keygen.node_ids arng hotspots
-    | _ -> [||]
+    | Arrivals.Hot { hotspots; zipf_s; _ } when Arrivals.enabled params.arrivals
+      ->
+      ( Keygen.node_ids arng hotspots,
+        Some (Keygen.zipf_table ~n:hotspots ~s:zipf_s) )
+    | _ -> ([||], None)
   in
   assemble params ~dht ~phys ~rng ~frng ~arng ~krng ~partitioned ~attackers
-    ~hot_centers keys
+    ~hot_centers ~hot_zipf keys
 
 let remaining_tasks t = Dht.total_keys t.dht
 
@@ -719,8 +724,8 @@ let apply_arrivals t =
       let key =
         match plan.Arrivals.keys with
         | Arrivals.Uniform -> Keygen.fresh t.arng
-        | Arrivals.Hot { hotspots; spread; zipf_s } ->
-          let j = Keygen.zipf t.arng ~n:hotspots ~s:zipf_s - 1 in
+        | Arrivals.Hot { spread; _ } ->
+          let j = Keygen.zipf t.arng (Option.get t.hot_zipf) - 1 in
           let offset = Id.of_fraction (Prng.float_unit t.arng *. spread) in
           Id.add t.hot_centers.(j) offset
       in
@@ -1312,7 +1317,7 @@ module For_testing = struct
     assemble params ~dht ~phys ~rng:(Prng.create seed)
       ~frng:(Faults.rng ~seed) ~arng:(Arrivals.rng ~seed)
       ~krng:(Attack.rng ~seed) ~partitioned:(-1) ~attackers:[]
-      ~hot_centers:[||] (Array.of_list keys)
+      ~hot_centers:[||] ~hot_zipf:None (Array.of_list keys)
 
   let rewrite_holders t id hs =
     if not (Params.recovery_on t.params) then

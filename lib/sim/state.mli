@@ -82,6 +82,9 @@ type t = private {
   hot_centers : Id.t array;
       (** hotspot centers for [Arrivals.Hot] key placement, drawn from
           the arrival stream at setup; [[||]] otherwise *)
+  hot_zipf : Keygen.zipf option;
+      (** the Zipf table of those centers' ranks, built once at setup;
+          [None] exactly when [hot_centers] is empty *)
   birth : int Birth.t;
       (** open system only: arrival tick of every stored task (initial
           batch = 0); entries close on completion or accounted loss, so

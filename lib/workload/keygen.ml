@@ -66,20 +66,30 @@ let even_ids n =
   if n < 1 then invalid_arg "Keygen.even_ids: n < 1";
   Array.init n (fun k -> Id.of_fraction (float_of_int k /. float_of_int n))
 
-let zipf rng ~n ~s =
-  if n < 1 then invalid_arg "Keygen.zipf: n < 1";
-  if s < 0.0 then invalid_arg "Keygen.zipf: s < 0";
-  (* Inverse CDF over the truncated harmonic weights; O(n) worst case but
-     heavily front-loaded, so the expected scan is short for s >= 1. *)
-  let norm = ref 0.0 in
+(* Zipf(s) over ranks 1..n by inverse CDF on the truncated harmonic
+   weights: [prefix.(k - 1)] is the sum of the first [k] weights, added
+   in rank order, so the last entry is the normaliser bit for bit. *)
+type zipf = float array
+
+let zipf_table ~n ~s =
+  if n < 1 then invalid_arg "Keygen.zipf_table: n < 1";
+  if s < 0.0 then invalid_arg "Keygen.zipf_table: s < 0";
+  let prefix = Array.make n 0.0 in
+  let acc = ref 0.0 in
   for k = 1 to n do
-    norm := !norm +. (1.0 /. Float.pow (float_of_int k) s)
+    acc := !acc +. (1.0 /. Float.pow (float_of_int k) s);
+    prefix.(k - 1) <- !acc
   done;
-  let target = Prng.float_unit rng *. !norm in
-  let rec scan k acc =
-    if k >= n then n
-    else
-      let acc = acc +. (1.0 /. Float.pow (float_of_int k) s) in
-      if acc >= target then k else scan (k + 1) acc
-  in
-  scan 1 0.0
+  prefix
+
+(* The first rank k < n whose prefix reaches the target, else n: the
+   prefixes never decrease, so a binary search finds it. *)
+let zipf rng prefix =
+  let n = Array.length prefix in
+  let target = Prng.float_unit rng *. prefix.(n - 1) in
+  let lo = ref 1 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if prefix.(mid - 1) >= target then hi := mid else lo := mid + 1
+  done;
+  !lo

@@ -25,7 +25,16 @@ val even_ids : int -> Id.t array
 (** [even_ids n]: ids at fractions [k/n] of the ring, [k = 0..n-1] —
     the idealized placement of Figure 3. *)
 
-val zipf : Prng.t -> n:int -> s:float -> int
-(** [zipf rng ~n ~s] samples a 1-based rank from a Zipf([s]) distribution
-    over [n] ranks by inverse-CDF on the truncated harmonic series.
+type zipf
+(** A Zipf distribution's table: the prefix sums of its truncated
+    harmonic weights, built once and shared by every draw. *)
+
+val zipf_table : n:int -> s:float -> zipf
+(** [zipf_table ~n ~s] tabulates Zipf([s]) over the ranks [1..n] in
+    O([n]).
     @raise Invalid_argument if [n < 1] or [s < 0]. *)
+
+val zipf : Prng.t -> zipf -> int
+(** [zipf rng table] samples a 1-based rank by inverse CDF: one
+    {!Prng.float_unit} draw scaled by the normaliser, then a binary
+    search of the prefix sums, O(log n). *)

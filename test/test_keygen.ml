@@ -34,29 +34,29 @@ let test_even_ids () =
       ignore (Keygen.even_ids 0))
 
 let test_zipf_bounds () =
-  let rng = Prng.create 5 in
+  let rng = Prng.create 5 and ranks = Keygen.zipf_table ~n:50 ~s:1.1 in
   for _ = 1 to 1000 do
-    let r = Keygen.zipf rng ~n:50 ~s:1.1 in
+    let r = Keygen.zipf rng ranks in
     if r < 1 || r > 50 then Alcotest.failf "zipf rank %d out of [1,50]" r
   done
 
 let test_zipf_skew () =
-  let rng = Prng.create 6 in
+  let rng = Prng.create 6 and ranks = Keygen.zipf_table ~n:50 ~s:1.2 in
   let counts = Array.make 51 0 in
   for _ = 1 to 20_000 do
-    let r = Keygen.zipf rng ~n:50 ~s:1.2 in
+    let r = Keygen.zipf rng ranks in
     counts.(r) <- counts.(r) + 1
   done;
   Alcotest.(check bool) "rank 1 most popular" true (counts.(1) > counts.(2));
   Alcotest.(check bool) "heavy head" true (counts.(1) > 10 * counts.(50));
-  Alcotest.check_raises "n<1" (Invalid_argument "Keygen.zipf: n < 1") (fun () ->
-      ignore (Keygen.zipf rng ~n:0 ~s:1.0))
+  Alcotest.check_raises "n<1" (Invalid_argument "Keygen.zipf_table: n < 1")
+    (fun () -> ignore (Keygen.zipf_table ~n:0 ~s:1.0))
 
 let test_zipf_uniform_when_s0 () =
-  let rng = Prng.create 7 in
+  let rng = Prng.create 7 and ranks = Keygen.zipf_table ~n:10 ~s:0.0 in
   let counts = Array.make 11 0 in
   for _ = 1 to 20_000 do
-    let r = Keygen.zipf rng ~n:10 ~s:0.0 in
+    let r = Keygen.zipf rng ranks in
     counts.(r) <- counts.(r) + 1
   done;
   Array.iteri
@@ -72,6 +72,20 @@ let prop_fresh_is_sha1_output =
       let a = Keygen.fresh rng and b = Keygen.fresh rng in
       not (Id.equal a b))
 
+(* The prefix table picks the rank the oracle's linear scan picks, from
+   the same single draw, so both leave the generator in the same state. *)
+let prop_zipf_table_is_scan =
+  Testutil.prop ~count:300 "zipf table draw = the oracle's scan"
+    QCheck.(
+      triple (int_range 1 2000) (oneofl [ 0.0; 0.5; 1.0; 1.1; 2.5 ]) int)
+    (fun (n, s, seed) ->
+      let ranks = Keygen.zipf_table ~n ~s in
+      let a = Prng.create seed and b = Prng.create seed in
+      List.for_all
+        (fun _ -> Keygen.zipf a ranks = Oracle.zipf_scan b ~n ~s)
+        (List.init 20 Fun.id)
+      && Prng.state_equal (Prng.capture a) (Prng.capture b))
+
 let () =
   Alcotest.run "keygen"
     [
@@ -85,5 +99,5 @@ let () =
           Alcotest.test_case "zipf skew" `Quick test_zipf_skew;
           Alcotest.test_case "zipf s=0 uniform" `Quick test_zipf_uniform_when_s0;
         ] );
-      ("properties", [ prop_fresh_is_sha1_output ]);
+      ("properties", [ prop_fresh_is_sha1_output; prop_zipf_table_is_scan ]);
     ]
