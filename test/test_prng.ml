@@ -144,7 +144,10 @@ let prop_capture_restore_replays =
 (* The first draws of seed 42, as the generator has always produced
    them: every golden and pin downstream rests on these words. *)
 let test_known_answers () =
-  let first4 f = let rng = Prng.create 42 in List.init 4 (fun _ -> f rng) in
+  let first4 f =
+    let rng = Prng.create 42 in
+    List.init 4 (fun _ -> f rng)
+  in
   Alcotest.(check (list int64)) "bits64"
     [ 1546998764402558742L; 6990951692964543102L; -5902157311460992607L;
       -1389169964527427423L ]

@@ -32,13 +32,11 @@ let qcheck_seed =
          Random.int 1_000_000_000
      in
      let line =
-       Printf.sprintf "qcheck random seed: %d (set QCHECK_SEED=%d to reproduce)\n"
+       Printf.sprintf "qcheck random seed: %d (set QCHECK_SEED=%d to reproduce)"
          seed seed
      in
-     print_string line;
-     flush stdout;
-     prerr_string line;
-     flush stderr;
+     Printf.printf "%s\n%!" line;
+     Printf.eprintf "%s\n%!" line;
      seed)
 
 let prop ?(count = 300) name law_arb law =
